@@ -51,18 +51,45 @@ fn paper_scale_demands() -> (Topology, Vec<FlowDemand>) {
     (topo, flows)
 }
 
+/// The kernel's worst case: 500 hosts, each sending to its next four, so
+/// one chain-coupled component where every egress saturates at a distinct
+/// water level. The solve takes about one round per link (R ≈ 999), and
+/// every round rescans every active link: O(rounds × links). The PS-star
+/// shapes the experiments run finish in single-digit rounds.
+fn freeze_ladder_demands() -> (Topology, Vec<FlowDemand>) {
+    const HOSTS: u32 = 500;
+    let topo = Topology::uniform(HOSTS as usize, Bandwidth::from_gbps(10.0));
+    let mut flows = Vec::new();
+    for i in 0..HOSTS {
+        for k in 1..=4u32 {
+            let w = 1.0 + (i as f64) * 0.01 + (k as f64) * 0.002;
+            flows.push(FlowDemand::new(
+                HostId(i),
+                HostId((i + k) % HOSTS),
+                Band(0),
+                w,
+            ));
+        }
+    }
+    (topo, flows)
+}
+
 fn bench_maxmin(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel/maxmin");
-    let (topo, flows) = paper_scale_demands();
-    g.throughput(Throughput::Elements(flows.len() as u64));
-    g.bench_function("allocate_840_flows", |b| {
-        let mut alloc = MaxMinAllocator::new();
-        let mut rates = Vec::new();
-        b.iter(|| {
-            alloc.allocate_into(&topo, black_box(&flows), &mut rates);
-            black_box(rates.len())
+    for (name, (topo, flows)) in [
+        ("allocate_840_flows", paper_scale_demands()),
+        ("freeze_ladder_2000_flows", freeze_ladder_demands()),
+    ] {
+        g.throughput(Throughput::Elements(flows.len() as u64));
+        g.bench_function(name, |b| {
+            let mut alloc = MaxMinAllocator::new();
+            let mut rates = Vec::new();
+            b.iter(|| {
+                alloc.allocate_into(&topo, black_box(&flows), &mut rates);
+                black_box(rates.len())
+            });
         });
-    });
+    }
     g.finish();
 }
 

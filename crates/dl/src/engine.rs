@@ -31,7 +31,7 @@ use tl_cluster::{
 };
 use tl_faults::{BarrierLossPolicy, FaultAction, FaultPlan, RetryConfig, TimedFault};
 use tl_net::{
-    AllocKernel, AllocStats, Bandwidth, FlowId, FlowSpec, FluidNet, HostId, LinkId, PacketNet,
+    AllocStats, Bandwidth, FlowId, FlowSpec, FluidNet, HostId, LinkId, PacketNet,
 };
 
 /// Tag prefix distinguishing gradient flows from model-update flows in the
@@ -112,27 +112,6 @@ pub struct SimConfig {
     /// values are *not* deterministic; the report is excluded from
     /// telemetry exports.
     pub profile: bool,
-    /// Worker threads for the fluid backend's component-parallel max-min
-    /// allocator. `None` (default) defers to the `TL_WORKERS` environment
-    /// variable, falling back to the machine's available parallelism
-    /// (capped at 8). Simulation results are bitwise-identical at every
-    /// setting — only wall time changes — so this is safe to leave
-    /// unpinned even for reproducibility-sensitive runs.
-    pub alloc_workers: Option<usize>,
-    /// Max-min kernel for the fluid backend. `None` (default) defers to
-    /// the `TL_KERNEL` environment variable, falling back to the
-    /// bottleneck-ordered kernel. Both kernels are bitwise-identical;
-    /// `Legacy` keeps the round-based full-rescan water-filling for
-    /// A/B comparison and as a fallback.
-    pub alloc_kernel: Option<AllocKernel>,
-    /// Minimum total dirty flows before the allocator dispatches
-    /// components to the worker pool. `None` defers to
-    /// `TL_PAR_MIN_FLOWS` (default 128). Must be positive.
-    pub par_min_flows: Option<usize>,
-    /// Minimum flows in a single component before the bottleneck kernel
-    /// shards its per-round reductions across workers. `None` defers to
-    /// `TL_PAR_MIN_COMPONENT_FLOWS` (default 4096). Must be positive.
-    pub par_min_component_flows: Option<usize>,
 }
 
 impl Default for SimConfig {
@@ -159,10 +138,6 @@ impl Default for SimConfig {
             backend: NetBackendKind::Fluid,
             invariants: cfg!(debug_assertions),
             profile: false,
-            alloc_workers: None,
-            alloc_kernel: None,
-            par_min_flows: None,
-            par_min_component_flows: None,
         }
     }
 }
@@ -722,34 +697,6 @@ impl<'p> Simulation<'p> {
         self
     }
 
-    /// Pin the fluid backend's allocator worker count (overrides
-    /// `cfg.alloc_workers`; results are bitwise-identical at any value).
-    pub fn alloc_workers(mut self, workers: usize) -> Self {
-        self.cfg.alloc_workers = Some(workers);
-        self
-    }
-
-    /// Pin the fluid backend's max-min kernel (overrides
-    /// `cfg.alloc_kernel`; both kernels are bitwise-identical).
-    pub fn alloc_kernel(mut self, kernel: AllocKernel) -> Self {
-        self.cfg.alloc_kernel = Some(kernel);
-        self
-    }
-
-    /// Pin the component-dispatch parallelism threshold (overrides
-    /// `cfg.par_min_flows`). Must be positive.
-    pub fn par_min_flows(mut self, min_flows: usize) -> Self {
-        self.cfg.par_min_flows = Some(min_flows);
-        self
-    }
-
-    /// Pin the intra-component sharding threshold (overrides
-    /// `cfg.par_min_component_flows`). Must be positive.
-    pub fn par_min_component_flows(mut self, min_flows: usize) -> Self {
-        self.cfg.par_min_component_flows = Some(min_flows);
-        self
-    }
-
     /// Run the simulation to completion (or the configured horizon).
     ///
     /// Panics if no jobs were added, a setup is inconsistent, or — with
@@ -815,22 +762,7 @@ fn run_inner(
     // Dispatch once on the backend kind; everything below is generic and
     // monomorphized, so the fluid fast path pays nothing for pluggability.
     match cfg.backend {
-        NetBackendKind::Fluid => {
-            let mut net = FluidNet::new(topo);
-            if let Some(workers) = cfg.alloc_workers {
-                net.set_alloc_workers(workers);
-            }
-            if let Some(kernel) = cfg.alloc_kernel {
-                net.set_alloc_kernel(kernel);
-            }
-            if let Some(min_flows) = cfg.par_min_flows {
-                net.set_par_min_flows(min_flows);
-            }
-            if let Some(min_flows) = cfg.par_min_component_flows {
-                net.set_par_min_component_flows(min_flows);
-            }
-            run_with_net(cfg, setups, policy, net)
-        }
+        NetBackendKind::Fluid => run_with_net(cfg, setups, policy, FluidNet::new(topo)),
         NetBackendKind::Packet => run_with_net(cfg, setups, policy, PacketNet::new(topo)),
     }
 }
@@ -1962,21 +1894,15 @@ impl<'a, N: NetBackend> Sim<'a, N> {
             if let Some(util) = &util {
                 monitor::record_utilization(reg, util);
             }
-            // Wall-clock fields (`wall_nanos`, `parallel_wall_nanos`) stay
-            // out: exported metrics must be deterministic. The dispatch
-            // count is deterministic for a fixed worker setting.
+            // `wall_nanos` stays out: exported metrics must be
+            // deterministic.
             for (name, v) in [
                 ("alloc.invocations", alloc.invocations),
                 ("alloc.full_solves", alloc.full_solves),
                 ("alloc.components_solved", alloc.components_solved),
                 ("alloc.components_retained", alloc.components_retained),
                 ("alloc.rounds", alloc.rounds),
-                ("alloc.freeze_rounds", alloc.freeze_rounds),
-                ("alloc.heap_pops", alloc.heap_pops),
-                ("alloc.stale_key_skips", alloc.stale_key_skips),
-                ("alloc.links_touched", alloc.links_touched),
                 ("alloc.flows_touched", alloc.flows_touched),
-                ("alloc.parallel_dispatches", alloc.parallel_dispatches),
             ] {
                 let id = reg.register(name, MetricKind::Counter);
                 reg.set(id, v as f64);

@@ -102,7 +102,6 @@ fn parse_args() -> Args {
     let mut markdown: Option<PathBuf> = None;
     let mut topology: Option<tl_dl::TopologySpec> = None;
     let mut pattern: Option<tl_dl::TrafficPattern> = None;
-    let mut kernel: Option<tl_dl::AllocKernel> = None;
     let mut ledger_dir: Option<PathBuf> = None;
     let mut resume = false;
     let mut cell_timeout = None;
@@ -146,14 +145,6 @@ fn parse_args() -> Args {
                 let p = v.parse::<tl_dl::TrafficPattern>();
                 pattern = Some(p.unwrap_or_else(|e| usage_error(&e.to_string())));
             }
-            "--kernel" => {
-                let v = next(&mut i);
-                kernel = Some(tl_dl::AllocKernel::parse(&v).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "bad --kernel value {v:?} (expected legacy or bottleneck)"
-                    ))
-                }));
-            }
             "--csv" => csv_dir = Some(PathBuf::from(next(&mut i))),
             "--json" => json_dir = Some(PathBuf::from(next(&mut i))),
             "--ledger-dir" => ledger_dir = Some(PathBuf::from(next(&mut i))),
@@ -195,8 +186,6 @@ fn parse_args() -> Args {
                      --seed S         master seed\n\
                      --topology SPEC  single-switch (default) or leaf-spine:<racks>x<hosts>[@<oversub>]\n\
                      --pattern NAME   ps-star (default), ring, or hierarchical\n\
-                     --kernel NAME    max-min kernel: bottleneck (default) or legacy;\n\
-                     \x20                    bitwise-identical output, wall time only\n\
                      --csv DIR        also write each table as CSV\n\
                      --json DIR       also write each result as JSON\n\
                      --ledger-dir DIR sweep checkpoint ledgers (default: the --json DIR)\n\
@@ -226,9 +215,6 @@ fn parse_args() -> Args {
     }
     if let Some(p) = pattern {
         cfg.pattern = p;
-    }
-    if let Some(k) = kernel {
-        cfg.alloc_kernel = Some(k);
     }
     // The ledger rides with the JSON output unless placed explicitly.
     let ledger_dir = ledger_dir.or_else(|| json_dir.clone());
@@ -630,8 +616,8 @@ fn main() {
                     serde_json::to_string_pretty(&r).expect("json"),
                 );
                 // Deterministic projection (wall-clock columns stripped,
-                // floats as bit patterns): byte-identical across runs and
-                // across TL_WORKERS settings; check.sh compares it.
+                // floats as bit patterns): byte-identical across runs;
+                // check.sh compares it with the committed copy.
                 if let Some(dir) = &args.json_dir {
                     std::fs::create_dir_all(dir).expect("create json dir");
                     write_atomic(
@@ -723,14 +709,8 @@ fn main() {
                 100.0 * rep.share_of("alloc.solve", "engine.handlers").unwrap_or(0.0)
             );
             println!(
-                "allocator kernel counters: rounds={} freeze_rounds={} heap_pops={} \
-                 stale_key_skips={} links_touched={} parallel_dispatches={}",
-                alloc.rounds,
-                alloc.freeze_rounds,
-                alloc.heap_pops,
-                alloc.stale_key_skips,
-                alloc.links_touched,
-                alloc.parallel_dispatches,
+                "allocator counters: rounds={} flows_touched={}",
+                alloc.rounds, alloc.flows_touched,
             );
             if let Some(dir) = &args.json_dir {
                 std::fs::create_dir_all(dir).expect("create json dir");
@@ -746,13 +726,7 @@ fn main() {
         // allocator performance counters (SimOutput::alloc_stats).
         use tl_experiments::{run_table1, PolicyKind};
         isolated!("perf", {
-            let kernel = cfg
-                .alloc_kernel
-                .unwrap_or_else(tl_net::default_alloc_kernel);
-            println!(
-                "allocator perf counters, Table I placement #8 (kernel={}):",
-                kernel.label()
-            );
+            println!("allocator perf counters, Table I placement #8:");
             for policy in PolicyKind::all() {
                 let t = std::time::Instant::now();
                 let out = run_table1(cfg, Table1Index(8), policy);
@@ -761,9 +735,7 @@ fn main() {
                 println!(
                     "  {:<8} events={} sim_wall={:.2?} | alloc: invocations={} \
                      full_solves={} components_solved={} components_retained={} \
-                     rounds={} flows_touched={} alloc_wall={:.2?}\n\
-                     \x20          kernel: freeze_rounds={} heap_pops={} \
-                     stale_key_skips={} links_touched={}",
+                     rounds={} flows_touched={} alloc_wall={:.2?}",
                     policy.label(),
                     out.events,
                     wall,
@@ -774,10 +746,6 @@ fn main() {
                     s.rounds,
                     s.flows_touched,
                     std::time::Duration::from_nanos(s.wall_nanos),
-                    s.freeze_rounds,
-                    s.heap_pops,
-                    s.stale_key_skips,
-                    s.links_touched,
                 );
             }
             if args.trace_out.is_some() || args.metrics_out.is_some() {

@@ -41,24 +41,6 @@ pub struct ExperimentConfig {
     /// unless overridden.
     #[serde(default)]
     pub pattern: TrafficPattern,
-    /// Allocator worker threads. `None` defers to the engine default
-    /// (`TL_WORKERS`, else available parallelism capped at 8). Results are
-    /// bitwise-identical at every setting; this only moves wall time.
-    #[serde(default)]
-    pub alloc_workers: Option<usize>,
-    /// Max-min kernel (`repro --kernel`). `None` defers to the engine
-    /// default (`TL_KERNEL`, else the bottleneck-ordered kernel). Both
-    /// kernels are bitwise-identical; this only moves wall time.
-    #[serde(default)]
-    pub alloc_kernel: Option<tl_dl::AllocKernel>,
-    /// Component-dispatch parallelism threshold. `None` defers to the
-    /// engine default (`TL_PAR_MIN_FLOWS`, else 128).
-    #[serde(default)]
-    pub par_min_flows: Option<usize>,
-    /// Intra-component sharding threshold. `None` defers to the engine
-    /// default (`TL_PAR_MIN_COMPONENT_FLOWS`, else 4096).
-    #[serde(default)]
-    pub par_min_component_flows: Option<usize>,
 }
 
 impl Default for ExperimentConfig {
@@ -86,10 +68,6 @@ impl ExperimentConfig {
             link_gbps: 10.0,
             topology: TopologySpec::SingleSwitch,
             pattern: TrafficPattern::PsStar,
-            alloc_workers: None,
-            alloc_kernel: None,
-            par_min_flows: None,
-            par_min_component_flows: None,
         }
     }
 
@@ -128,10 +106,6 @@ impl ExperimentConfig {
             barrier_loss: tl_dl::BarrierLossPolicy::default(),
             topology: self.topology,
             pattern: self.pattern,
-            alloc_workers: self.alloc_workers,
-            alloc_kernel: self.alloc_kernel,
-            par_min_flows: self.par_min_flows,
-            par_min_component_flows: self.par_min_component_flows,
             ..SimConfig::default()
         }
     }

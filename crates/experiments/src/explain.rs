@@ -423,8 +423,6 @@ mod tests {
             assert!(text.contains(slot), "profile report missing {slot}: {text}");
         }
         assert!(rep.total_nanos("engine.handlers") > 0);
-        // The default (bottleneck) kernel reports its heap traffic.
         assert!(alloc.invocations > 0);
-        assert!(alloc.heap_pops > 0, "bottleneck kernel should pop its heap");
     }
 }

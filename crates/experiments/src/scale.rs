@@ -31,7 +31,7 @@ const WORKERS_PER_JOB: u32 = 20;
 /// Synchronous iterations per job in every full-grid cell.
 const ITERS: u64 = 5;
 /// Iterations in the `--quick` smoke cell.
-const QUICK_ITERS: u64 = 4;
+pub const QUICK_ITERS: u64 = 4;
 /// PS colocation shape: three even PS groups (Table I #4, generalized).
 const PS_GROUPS: Table1Index = Table1Index(4);
 
@@ -50,8 +50,8 @@ pub const XL_JOBS: u32 = 5_000;
 /// Workers per job in the XL cell. Deliberately smaller than the grid's
 /// 20-worker paper job: at 5 000 concurrent jobs the realistic cluster
 /// regime (CASSINI/MLTCP traces) is many small jobs, and rack-local
-/// 4-worker jobs keep each rack an independent flow component — which is
-/// exactly the structure the parallel allocator exploits.
+/// 4-worker jobs keep each rack an independent flow component, so every
+/// dirty re-solve stays rack-sized.
 pub const XL_WORKERS_PER_JOB: u32 = 4;
 /// Iterations per job in the XL cell.
 const XL_ITERS: u64 = 3;
@@ -252,9 +252,8 @@ pub fn run_with(
 /// rack pins two jobs' PSes to each of its ten even hosts (the paper's
 /// contending-PS shape, rack-scale) and runs their workers on the
 /// following hosts of the same rack. No flow ever leaves its rack, so the
-/// 10 000-host cluster decomposes into 250 independent components — dirty
-/// re-solves stay rack-sized and same-tick batches fan out to the
-/// allocator's worker pool.
+/// 10 000-host cluster decomposes into 250 independent components and
+/// dirty re-solves stay rack-sized.
 fn xl_placement() -> Placement {
     let jobs_per_rack = XL_JOBS / XL_RACKS;
     let jobs = (0..XL_JOBS)
@@ -372,9 +371,9 @@ impl ScaleResult {
     /// byte-identity comparisons: every wall-clock column (`wall_secs`,
     /// `events_per_sec`, `alloc_wall_ms`) is excluded and every simulated
     /// float is captured as its IEEE-754 bit pattern. Two runs of the same
-    /// sweep — at any allocator worker count (`TL_WORKERS`) — must produce
-    /// byte-identical output; the check-script smoke compares exactly this
-    /// file across worker settings.
+    /// sweep must produce byte-identical output; the check script compares
+    /// the full sweep's rendering with the committed
+    /// `results/json/scale.canonical.json`.
     pub fn canonical_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -470,7 +469,6 @@ pub fn canonical_json(out: &SimOutput) -> String {
 mod tests {
     use super::*;
     use crate::runner::parallel_map_with_workers;
-    use tl_dl::TopologySpec;
 
     fn tiny_cfg() -> ExperimentConfig {
         ExperimentConfig {
@@ -570,78 +568,6 @@ mod tests {
         let threaded = run_with(4);
         assert!(sequential[0].contains("\"jobs\":["));
         assert_eq!(sequential, threaded, "worker count changed results");
-    }
-
-    #[test]
-    fn canonical_output_is_identical_across_alloc_worker_counts() {
-        // The tentpole guarantee at the experiment level: the allocator's
-        // worker-pool size (`ExperimentConfig::alloc_workers`, `TL_WORKERS`
-        // in the shell) may only move wall time, never results. The
-        // check-script smoke repeats this comparison cross-process on
-        // `scale.canonical.json`; this is the in-process version over one
-        // quick cell, including a leaf-spine run where rack-local
-        // components actually fan out to the pool.
-        let cell = |workers: usize, topo: TopologySpec| {
-            let cfg = ExperimentConfig {
-                alloc_workers: Some(workers),
-                topology: topo,
-                ..tiny_cfg()
-            };
-            canonical_json(&run_cell(&cfg, GRID_HOSTS[0], GRID_JOBS[0], PolicyKind::TlsRr))
-        };
-        let spine = TopologySpec::LeafSpine {
-            racks: 7,
-            hosts_per_rack: 3,
-            oversub: 2.0,
-        };
-        for topo in [TopologySpec::SingleSwitch, spine] {
-            let one = cell(1, topo);
-            assert!(one.contains("\"alloc\":["));
-            for workers in [2, 4, 8] {
-                assert_eq!(
-                    one,
-                    cell(workers, topo),
-                    "alloc_workers={workers} changed results on {topo:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn canonical_output_is_identical_across_kernels() {
-        // The PR 10 tentpole guarantee at the experiment level: the
-        // max-min kernel (`ExperimentConfig::alloc_kernel`, `TL_KERNEL`
-        // in the shell) may only move wall time, never results — the
-        // canonical JSON (rates, completions, *and* the shared round
-        // counters) must match byte for byte. The check-script kernel
-        // A/B smoke repeats this cross-process on `scale.canonical.json`.
-        use tl_dl::AllocKernel;
-        let cell = |kernel: AllocKernel, topo: TopologySpec| {
-            let cfg = ExperimentConfig {
-                alloc_kernel: Some(kernel),
-                // Force intra-component sharding onto the bottleneck
-                // kernel's parallel path even at quick-cell sizes.
-                par_min_component_flows: Some(8),
-                alloc_workers: Some(4),
-                topology: topo,
-                ..tiny_cfg()
-            };
-            canonical_json(&run_cell(&cfg, GRID_HOSTS[0], GRID_JOBS[0], PolicyKind::TlsRr))
-        };
-        let spine = TopologySpec::LeafSpine {
-            racks: 7,
-            hosts_per_rack: 3,
-            oversub: 2.0,
-        };
-        for topo in [TopologySpec::SingleSwitch, spine] {
-            let legacy = cell(AllocKernel::Legacy, topo);
-            assert!(legacy.contains("\"alloc\":["));
-            assert_eq!(
-                legacy,
-                cell(AllocKernel::Bottleneck, topo),
-                "kernel changed results on {topo:?}"
-            );
-        }
     }
 
     #[test]

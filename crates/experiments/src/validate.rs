@@ -201,10 +201,6 @@ fn scenario_cfg(master: &ExperimentConfig) -> ExperimentConfig {
         // Per-scenario; `run_backend` installs the scenario's own.
         topology: TopologySpec::SingleSwitch,
         pattern: TrafficPattern::PsStar,
-        alloc_workers: master.alloc_workers,
-        alloc_kernel: master.alloc_kernel,
-        par_min_flows: master.par_min_flows,
-        par_min_component_flows: master.par_min_component_flows,
     }
 }
 

@@ -43,7 +43,7 @@
 //! assert_eq!(net.take_completions(done_at).len(), 1);
 //! ```
 
-use crate::maxmin::{AllocKernel, AllocStats, FlowDemand, MaxMinAllocator};
+use crate::maxmin::{AllocStats, FlowDemand, MaxMinAllocator};
 use crate::topology::Topology;
 use crate::types::{Band, Bandwidth, FlowId, HostId};
 use simcore::{InvariantChecker, SimDuration, SimTime};
@@ -180,6 +180,23 @@ struct DeplEntry {
 /// recompute; entries beyond it provably cannot win.
 const CAND_WINDOW: SimDuration = SimDuration::from_nanos(50);
 
+/// The instant a flow crosses the completion threshold, `secs` after
+/// `base`, rounded up by one tick so that at the returned instant the flow
+/// has provably crossed. `None` when that instant does not fit `SimTime`:
+/// the allocator can leave a float residue just above [`RATE_EPS`] on a
+/// flow with megabytes to go, putting its crossing ~1e13 s away, which is
+/// no crossing at all.
+fn depletion_instant(base: SimTime, secs: f64) -> Option<SimTime> {
+    let nanos = (secs.max(0.0) * 1e9).round();
+    if nanos >= u64::MAX as f64 {
+        return None;
+    }
+    base.as_nanos()
+        .checked_add(nanos as u64)?
+        .checked_add(1)
+        .map(SimTime::from_nanos)
+}
+
 /// The fluid network: active flows, their rates, and byte accounting.
 #[derive(Debug)]
 pub struct FluidNet {
@@ -214,7 +231,8 @@ pub struct FluidNet {
     // structure (band/weight/capacity changes don't alter connectivity).
     structure_dirty: bool,
     // Lazy min-heap over absolute depletion instants, one live entry per
-    // flow with a meaningful rate; `depl_ver[slot]` names the live entry.
+    // flow with a meaningful rate and a representable crossing;
+    // `depl_ver[slot]` names the live entry.
     depl_heap: BinaryHeap<Reverse<DeplEntry>>,
     depl_ver: Vec<u64>,
     depl_scratch: Vec<DeplEntry>,
@@ -239,82 +257,11 @@ pub struct FluidNet {
     profiler: Profiler,
 }
 
-/// The default allocator worker count: the `TL_WORKERS` environment
-/// variable when set (parseable, nonzero — `1` forces single-threaded),
-/// else the machine's available parallelism capped at 8 (component solves
-/// are memory-bound; more threads than that stop paying). Results are
-/// bitwise-identical at any worker count, so the default may safely vary
-/// across machines.
-pub fn default_alloc_workers() -> usize {
-    std::env::var("TL_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&w| w > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        })
-}
-
-/// The default single-component kernel: the `TL_KERNEL` environment
-/// variable when set (`legacy` | `bottleneck`), else
-/// [`AllocKernel::Bottleneck`]. Both kernels are bitwise-identical, so
-/// the choice only affects wall time. Panics on an unrecognized value —
-/// a typo silently falling back would invalidate an A/B measurement.
-pub fn default_alloc_kernel() -> AllocKernel {
-    match std::env::var("TL_KERNEL") {
-        Ok(v) if !v.trim().is_empty() => AllocKernel::parse(&v)
-            .unwrap_or_else(|| panic!("TL_KERNEL must be 'legacy' or 'bottleneck', got {v:?}")),
-        _ => AllocKernel::default(),
-    }
-}
-
-fn env_threshold(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(v) if !v.trim().is_empty() => {
-            let parsed = v
-                .trim()
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("{var} must be a positive integer, got {v:?}"));
-            assert!(parsed > 0, "{var} must be positive, got {v:?}");
-            parsed
-        }
-        _ => default,
-    }
-}
-
-/// The default component-dispatch threshold: `TL_PAR_MIN_FLOWS` when set
-/// (positive integer), else [`crate::maxmin::DEFAULT_PAR_MIN_FLOWS`].
-/// Panics on an unparseable or zero value.
-pub fn default_par_min_flows() -> usize {
-    env_threshold("TL_PAR_MIN_FLOWS", crate::maxmin::DEFAULT_PAR_MIN_FLOWS)
-}
-
-/// The default intra-component sharding threshold:
-/// `TL_PAR_MIN_COMPONENT_FLOWS` when set (positive integer), else
-/// [`crate::maxmin::DEFAULT_PAR_MIN_COMPONENT_FLOWS`]. Panics on an
-/// unparseable or zero value.
-pub fn default_par_min_component_flows() -> usize {
-    env_threshold(
-        "TL_PAR_MIN_COMPONENT_FLOWS",
-        crate::maxmin::DEFAULT_PAR_MIN_COMPONENT_FLOWS,
-    )
-}
-
 impl FluidNet {
-    /// Create an engine over `topo` with no active flows. The allocator
-    /// worker count starts at [`default_alloc_workers`]; override with
-    /// [`FluidNet::set_alloc_workers`].
+    /// Create an engine over `topo` with no active flows.
     pub fn new(topo: Topology) -> Self {
         let n = topo.num_hosts();
         let nf = topo.num_fabric_links();
-        let mut allocator = MaxMinAllocator::new();
-        allocator.set_workers(default_alloc_workers());
-        allocator.set_kernel(default_alloc_kernel());
-        allocator.set_par_min_flows(default_par_min_flows());
-        allocator.set_par_min_component_flows(default_par_min_component_flows());
         FluidNet {
             topo,
             flows: Vec::new(),
@@ -325,7 +272,7 @@ impl FluidNet {
             any_dirty: false,
             next_cache: None,
             pending_done: Vec::new(),
-            allocator,
+            allocator: MaxMinAllocator::new(),
             demands: Vec::new(),
             rates: Vec::new(),
             structure_dirty: false,
@@ -360,44 +307,6 @@ impl FluidNet {
     /// refresh when the profiler is disabled.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
-    }
-
-    /// Set the allocator's worker count for component-parallel solves.
-    /// Results are bitwise-identical at any setting (see
-    /// [`MaxMinAllocator::set_workers`]); only wall time changes. The
-    /// default comes from [`default_alloc_workers`].
-    pub fn set_alloc_workers(&mut self, workers: usize) {
-        self.allocator.set_workers(workers);
-    }
-
-    /// The allocator's configured worker count.
-    pub fn alloc_workers(&self) -> usize {
-        self.allocator.workers()
-    }
-
-    /// Select the single-component allocation kernel. Both kernels are
-    /// bitwise-identical (see [`MaxMinAllocator::set_kernel`]); the
-    /// default comes from [`default_alloc_kernel`] (`TL_KERNEL`).
-    pub fn set_alloc_kernel(&mut self, kernel: AllocKernel) {
-        self.allocator.set_kernel(kernel);
-    }
-
-    /// The active single-component allocation kernel.
-    pub fn alloc_kernel(&self) -> AllocKernel {
-        self.allocator.kernel()
-    }
-
-    /// Set the component-dispatch threshold (panics on 0); the default
-    /// comes from [`default_par_min_flows`] (`TL_PAR_MIN_FLOWS`).
-    pub fn set_par_min_flows(&mut self, min_flows: usize) {
-        self.allocator.set_par_min_flows(min_flows);
-    }
-
-    /// Set the intra-component sharding threshold (panics on 0); the
-    /// default comes from [`default_par_min_component_flows`]
-    /// (`TL_PAR_MIN_COMPONENT_FLOWS`).
-    pub fn set_par_min_component_flows(&mut self, min_flows: usize) {
-        self.allocator.set_par_min_component_flows(min_flows);
     }
 
     /// The topology this engine runs over.
@@ -823,7 +732,7 @@ impl FluidNet {
             if self.depl_ver[e.slot as usize] == e.ver {
                 let f = self.state(e.slot);
                 debug_assert!(f.rate > RATE_EPS, "live entry for a starved flow");
-                let secs = (f.remaining / f.rate).max(0.0);
+                let secs = f.remaining / f.rate;
                 best = Some(match best {
                     Some(b) => b.min(secs),
                     None => secs,
@@ -835,11 +744,7 @@ impl FluidNet {
             self.depl_heap.push(Reverse(e));
         }
         self.depl_scratch = live;
-        // Round up by one tick so that at the returned instant the winning
-        // flow has provably crossed the completion threshold.
-        best.map(|secs| {
-            self.last_advance + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1)
-        })
+        best.and_then(|secs| depletion_instant(self.last_advance, secs))
     }
 
     /// Advance to `now` and drain all flows that have finished by then,
@@ -864,9 +769,6 @@ impl FluidNet {
         // docs), so nothing is rebuilt here; `rates` seeds the allocator
         // with the previous allocation, kept verbatim for clean components.
         let solve_timer = self.profiler.start();
-        let par_before = solve_timer
-            .is_some()
-            .then(|| self.allocator.stats().parallel_wall_nanos);
         self.allocator.allocate_dirty_reuse(
             &self.topo,
             &self.demands,
@@ -875,15 +777,6 @@ impl FluidNet {
             !self.structure_dirty,
         );
         self.profiler.stop("alloc.solve", solve_timer);
-        if let Some(before) = par_before {
-            let delta = self.allocator.stats().parallel_wall_nanos - before;
-            if delta > 0 {
-                // Time inside worker-pool dispatch, a subset of
-                // `alloc.solve` — recorded separately so the profile shows
-                // how much of the solve actually ran multi-threaded.
-                self.profiler.record("alloc.solve_parallel", delta);
-            }
-        }
         self.structure_dirty = false;
         if let Some(before) = stats_before {
             let after = self.allocator.stats();
@@ -931,15 +824,13 @@ impl FluidNet {
                 // the flow is actually moving, push the new crossing.
                 bump_depl_ver(&mut self.depl_ver, slot);
                 if new_rate > RATE_EPS {
-                    let secs = (remaining / new_rate).max(0.0);
-                    let at = self.last_advance
-                        + SimDuration::from_secs_f64(secs)
-                        + SimDuration::from_nanos(1);
-                    self.depl_heap.push(Reverse(DeplEntry {
-                        at,
-                        slot: slot as u32,
-                        ver: self.depl_ver[slot],
-                    }));
+                    if let Some(at) = depletion_instant(self.last_advance, remaining / new_rate) {
+                        self.depl_heap.push(Reverse(DeplEntry {
+                            at,
+                            slot: slot as u32,
+                            ver: self.depl_ver[slot],
+                        }));
+                    }
                 }
             }
         }
@@ -1587,6 +1478,22 @@ mod tests {
         }));
         net.next_cache = None;
         assert_eq!(net.next_event_time(), Some(first));
+    }
+
+    #[test]
+    fn unrepresentable_depletion_is_no_crossing() {
+        // The residue case: 5.9e7 B left at 1.19e-6 B/s is ~5e13 s away,
+        // past the end of nanosecond `SimTime`.
+        let base = SimTime::from_secs(3);
+        assert_eq!(depletion_instant(base, 5.9e7 / 1.19e-6), None);
+        // Just short of the limit, adding `base` overflows instead.
+        assert_eq!(depletion_instant(SimTime::from_nanos(u64::MAX - 1), 1e-9), None);
+        // Representable crossings keep the exact one-tick round-up.
+        let secs = 0.123_456_789_4;
+        assert_eq!(
+            depletion_instant(base, secs),
+            Some(base + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1))
+        );
     }
 
     #[test]

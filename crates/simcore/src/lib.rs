@@ -31,7 +31,6 @@
 pub mod event;
 pub mod invariant;
 pub mod outcome;
-pub mod pool;
 pub mod profile;
 pub mod rng;
 pub mod stats;
@@ -41,7 +40,6 @@ pub mod trace;
 pub use event::{EventHandle, EventQueue};
 pub use invariant::{InvariantChecker, InvariantViolation};
 pub use outcome::CellOutcome;
-pub use pool::WorkerPool;
 pub use profile::{ProfileReport, Profiler, SubsystemProfile};
 pub use rng::{RngFactory, UnitLogNormal};
 pub use stats::{Histogram, OnlineStats, SampleSet, Summary};

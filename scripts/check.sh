@@ -28,8 +28,6 @@ if [[ "${1:-}" != "fast" ]]; then
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench fault_overhead
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench scale
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench analysis
-    TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench alloc_parallel
-    TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench alloc_single_component
 
     # Telemetry smoke: emit a Chrome trace from the Figure 4 narrative and
     # validate it — parses as JSON, non-empty traceEvents, and contains the
@@ -62,36 +60,25 @@ if [[ "${1:-}" != "fast" ]]; then
     echo "==> scale sweep smoke (--quick)"
     ./target/release/repro --experiment scale --quick > /dev/null
 
-    # Threaded-determinism smoke: the allocator worker-pool size is only
-    # allowed to move wall time. Run the quick scale cell single-threaded
-    # and with a 4-thread pool in separate processes; the canonical JSON
-    # projection (floats as IEEE-754 bits, wall-clock columns stripped)
-    # must be byte-identical.
-    echo "==> allocator threaded-determinism smoke (TL_WORKERS 1 vs 4)"
-    TL_WORKERS=1 ./target/release/repro --experiment scale --quick \
-        --json "$tmp/workers1" > /dev/null
-    TL_WORKERS=4 ./target/release/repro --experiment scale --quick \
-        --json "$tmp/workers4" > /dev/null
-    cmp "$tmp/workers1/scale.canonical.json" "$tmp/workers4/scale.canonical.json"
-
-    # Kernel A/B smoke: the max-min kernel (TL_KERNEL) is only allowed to
-    # move wall time. Same quick scale cell under the legacy round-rescan
-    # kernel and the bottleneck-ordered kernel in separate processes; the
-    # canonical JSON (which includes the shared allocator round counters)
-    # must be byte-identical.
-    echo "==> allocator kernel A/B smoke (TL_KERNEL legacy vs bottleneck)"
-    TL_KERNEL=legacy ./target/release/repro --experiment scale --quick \
-        --json "$tmp/klegacy" > /dev/null
-    TL_KERNEL=bottleneck TL_WORKERS=4 TL_PAR_MIN_COMPONENT_FLOWS=8 \
-        ./target/release/repro --experiment scale --quick \
-        --json "$tmp/kbottleneck" > /dev/null
-    cmp "$tmp/klegacy/scale.canonical.json" "$tmp/kbottleneck/scale.canonical.json"
+    # Cross-version golden gate: the full 45-cell scale sweep (up to
+    # 500 hosts x 200 jobs) must reproduce the committed canonical JSON
+    # (floats as IEEE-754 bits, allocator counters, wall-clock columns
+    # stripped) byte for byte.
+    echo "==> scale sweep golden (full sweep vs results/json/scale.canonical.json)"
+    ./target/release/repro --experiment scale --json "$tmp/scale" > /dev/null
+    cmp "$tmp/scale/scale.canonical.json" results/json/scale.canonical.json
 
     # Fabric smoke: the full policy x oversubscription x pattern grid on
     # the leaf-spine topology at smoke-test iteration counts (repro asserts
     # every cell completes all jobs).
     echo "==> fabric sweep smoke (--quick)"
     ./target/release/repro --experiment fabric --quick > /dev/null
+
+    # Fabric golden: the full 27-cell sweep must complete every cell and
+    # reproduce the committed JSON byte for byte.
+    echo "==> fabric sweep golden (full sweep vs results/json/fabric.json)"
+    ./target/release/repro --experiment fabric --json "$tmp/fabric" > /dev/null
+    cmp "$tmp/fabric/fabric.json" results/json/fabric.json
 
     # Fabric counter tracks: a leaf-spine perf trace must carry per-rack
     # uplink/downlink utilization counter tracks next to the event spans.
@@ -113,18 +100,6 @@ if [[ "${1:-}" != "fast" ]]; then
     grep -q '"blame"' "$tmp/explain/explain.json"
     grep -q '"critical_path"' "$tmp/explain/explain.json"
     grep -q '"alloc.solve"' "$tmp/explain/profile.json"
-
-    # Kernel default guard: repro (via FluidNet/SimConfig) must default to
-    # the bottleneck kernel — the #[default] variant of AllocKernel — so a
-    # plain run exercises the fast path and legacy stays opt-in only.
-    echo "==> kernel default guard"
-    grep -Eqz '#\[default\]\s*Bottleneck' crates/net/src/maxmin.rs \
-        || { echo "AllocKernel no longer defaults to Bottleneck"; exit 1; }
-    # (capture to a file — `grep -q` on a pipe exits at first match and the
-    # resulting SIGPIPE would fail the pipeline under pipefail)
-    ./target/release/repro --experiment perf --iterations 8 > "$tmp/perf.out"
-    grep -q 'kernel=bottleneck' "$tmp/perf.out" \
-        || { echo "repro --experiment perf does not report the bottleneck kernel as default"; exit 1; }
 
     # Orchestrator routing: every sweep module must run its cells through
     # the crash-safe orchestrator (per-cell isolation + checkpoint ledger),
