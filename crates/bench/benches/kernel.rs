@@ -1,14 +1,14 @@
 //! Microbenchmarks of the simulation kernel: the event queue, the max-min
 //! rate allocator (the per-event hot path), the fluid engine, the CPU
-//! engine, and the chunk-level packet engine.
+//! engine, and the two chunk-level packet engines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use simcore::{EventQueue, SimTime};
 use std::hint::black_box;
 use tl_cluster::{CpuEngine, HostSpec};
 use tl_net::{
-    Band, Bandwidth, FlowDemand, FlowSpec, FluidNet, HostId, MaxMinAllocator, PacketSim, Qdisc,
-    Topology, Transfer,
+    Band, Bandwidth, FlowDemand, FlowSpec, FluidNet, HostId, MaxMinAllocator, PacketNet, PacketSim,
+    Qdisc, Topology, Transfer,
 };
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -282,23 +282,31 @@ fn bench_packet(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_psim(c: &mut Criterion) {
-    use tl_net::{psim, EgressDiscipline, NetFlow, NetSimConfig};
-    let mut g = c.benchmark_group("kernel/psim");
+fn bench_packet_net(c: &mut Criterion) {
+    let mut g = c.benchmark_group("kernel/packet_net");
     let topo = Topology::uniform(8, Bandwidth::from_gbps(10.0));
-    let flows: Vec<NetFlow> = (1..8)
-        .map(|w| NetFlow {
+    let flows: Vec<FlowSpec> = (1..8)
+        .map(|w| FlowSpec {
             src: HostId(0),
             dst: HostId(w),
-            bytes: 5_000_000,
+            bytes: 5e6,
             band: Band((w % 3) as u8),
+            weight: 1.0,
             tag: w as u64,
-            start: SimTime::ZERO,
         })
         .collect();
     g.bench_function("fanout_35mb_store_and_forward", |b| {
-        let cfg = NetSimConfig::new(topo.clone(), EgressDiscipline::Priority);
-        b.iter(|| black_box(psim::run(&cfg, black_box(&flows)).len()));
+        b.iter(|| {
+            let mut net = PacketNet::new(topo.clone());
+            for &f in black_box(&flows) {
+                net.start_flow(SimTime::ZERO, f);
+            }
+            let mut done = 0;
+            while let Some(t) = net.next_event_time() {
+                done += net.take_completions(t).len();
+            }
+            black_box(done)
+        });
     });
     g.finish();
 }
@@ -311,6 +319,6 @@ criterion_group!(
     bench_churn,
     bench_cpu,
     bench_packet,
-    bench_psim
+    bench_packet_net
 );
 criterion_main!(benches);

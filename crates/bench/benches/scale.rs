@@ -1,13 +1,10 @@
-//! Scale-out benchmarks: one mid-size cell of the `--experiment scale`
+//! Scale-out benchmark: one mid-size cell of the `--experiment scale`
 //! grid end to end (the fluid engine's indexed next-event scheduling and
-//! incremental allocation under load), plus the packet engine's bulk
-//! chunk service measured A/B against its unbatched path.
+//! incremental allocation under load).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use simcore::SimTime;
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tl_experiments::{scale, ExperimentConfig, PolicyKind};
-use tl_net::{Band, Bandwidth, FlowSpec, HostId, PacketNet, Topology};
 
 /// One mid-grid cell (147 hosts × 21 jobs) under the rotation-heavy
 /// policy: the closest criterion gets to the sweep's hot loop without
@@ -28,41 +25,5 @@ fn bench_scale_cell(c: &mut Criterion) {
     g.finish();
 }
 
-/// Drain a single uncontended transfer through the chunk-level packet
-/// engine with bulk fusion on vs off. The fused path schedules one event
-/// where the per-chunk path schedules two per 64 KiB chunk; completion
-/// instants are bit-identical (asserted in tl-net's regression tests).
-fn bench_packet_bulk(c: &mut Criterion) {
-    let mut g = c.benchmark_group("scale/packet_bulk");
-    const BYTES: f64 = 250e6;
-    g.throughput(Throughput::Bytes(BYTES as u64));
-    for (label, bulk) in [("fused", true), ("per_chunk", false)] {
-        g.bench_with_input(BenchmarkId::new("drain_250mb", label), &bulk, |b, &bulk| {
-            b.iter(|| {
-                let mut net =
-                    PacketNet::new(Topology::uniform(2, Bandwidth::from_gbps(10.0)));
-                net.set_bulk_service(bulk);
-                net.start_flow(
-                    SimTime::ZERO,
-                    FlowSpec {
-                        src: HostId(0),
-                        dst: HostId(1),
-                        bytes: BYTES,
-                        band: Band(0),
-                        weight: 1.0,
-                        tag: 1,
-                    },
-                );
-                let mut done = 0;
-                while let Some(t) = net.next_event_time() {
-                    done += net.take_completions(t).len();
-                }
-                black_box(done)
-            });
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_scale_cell, bench_packet_bulk);
+criterion_group!(benches, bench_scale_cell);
 criterion_main!(benches);

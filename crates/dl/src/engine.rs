@@ -59,7 +59,7 @@ pub struct SimConfig {
     pub max_sim_time: SimTime,
     /// Record typed telemetry events (debugging / Figure-4 narratives /
     /// Chrome-trace export). See [`SimOutput::telemetry`].
-    pub trace: bool,
+    pub telemetry_events: bool,
     /// If set, every model-update flow is additionally capped at this rate
     /// (bytes/sec) at the sender — models the paper's §VII alternative of
     /// explicit sender rate allocation instead of work-conserving priority.
@@ -124,7 +124,7 @@ impl Default for SimConfig {
             seed: 1,
             active_window: None,
             max_sim_time: SimTime::from_secs(7 * 24 * 3600),
-            trace: false,
+            telemetry_events: false,
             model_update_rate_cap: None,
             sample_interval: None,
             metrics_interval: None,
@@ -574,7 +574,6 @@ impl std::fmt::Debug for PolicyHolder<'_> {
 /// # let setups = vec![];
 /// let out = Simulation::new(SimConfig::default())
 ///     .jobs(setups)
-///     .trace(false)
 ///     .run();
 /// assert!(out.all_complete());
 /// ```
@@ -631,17 +630,11 @@ impl<'p> Simulation<'p> {
         self
     }
 
-    /// Enable or disable event tracing (overrides `cfg.trace`).
-    pub fn trace(mut self, enabled: bool) -> Self {
-        self.cfg.trace = enabled;
-        self
-    }
-
     /// Configure the structured telemetry layer in one call: `spec.events`
-    /// overrides `cfg.trace` and `spec.metrics_interval` overrides
-    /// `cfg.metrics_interval`.
+    /// overrides `cfg.telemetry_events` and `spec.metrics_interval`
+    /// overrides `cfg.metrics_interval`.
     pub fn telemetry(mut self, spec: TelemetryConfig) -> Self {
-        self.cfg.trace = spec.events;
+        self.cfg.telemetry_events = spec.events;
         self.cfg.metrics_interval = spec.metrics_interval;
         self
     }
@@ -807,7 +800,7 @@ fn run_with_net<N: NetBackend>(
     };
     queue.set_profiler(profiler.clone());
     let mut telemetry = Telemetry::from_config(TelemetryConfig {
-        events: cfg.trace,
+        events: cfg.telemetry_events,
         metrics_interval: cfg.metrics_interval,
     });
     telemetry.set_profiler(profiler.clone());
@@ -2926,7 +2919,7 @@ mod tests {
     fn trace_records_job_lifecycle() {
         let mut policy = FifoPolicy;
         let mut cfg = fast_cfg();
-        cfg.trace = true;
+        cfg.telemetry_events = true;
         let out = Simulation::new(cfg)
             .jobs(small_setup(2))
             .policy_ref(&mut policy)
@@ -3303,7 +3296,7 @@ mod fault_tests {
                 per_sample_core_secs: 0.01,
                 ..Default::default()
             },
-            trace: true,
+            telemetry_events: true,
             ..Default::default()
         }
     }

@@ -95,7 +95,7 @@ impl ExperimentConfig {
             seed: self.seed,
             active_window: None,
             max_sim_time: SimTime::from_secs(14 * 24 * 3600),
-            trace: false,
+            telemetry_events: false,
             model_update_rate_cap: None,
             sample_interval: None,
             metrics_interval: None,

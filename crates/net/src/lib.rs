@@ -12,10 +12,11 @@
 //! * [`packet::PacketSim`] — a chunk-level single-link simulator with
 //!   pfifo_fast / prio / DRR disciplines, used for Figure-4-style timelines
 //!   and to cross-validate the fluid model on small scenarios.
-//! * [`pnet::PacketNet`] — an *interactive* chunk-level engine with the
+//! * [`pnet::PacketNet`] — the multi-host chunk-level engine, with the
 //!   same driving surface as `FluidNet` (mid-run arrivals, band rotations,
 //!   capacity changes, aborts), so the full training engine can run on
-//!   either model; the differential-validation harness cross-checks them.
+//!   either model; the differential-validation harness and the
+//!   fluid-vs-packet tests cross-check them.
 //!
 //! [`tc::TcConfig`] renders the actual Linux `tc` command lines (htb
 //! classes plus u32 sport filters) for real deployment, including the
@@ -27,7 +28,6 @@ pub mod fluid;
 pub mod maxmin;
 pub mod packet;
 pub mod pnet;
-pub mod psim;
 pub mod tc;
 pub mod topology;
 pub mod types;
@@ -36,7 +36,6 @@ pub use fluid::{CompletedFlow, FlowSpec, FluidNet};
 pub use maxmin::{AllocStats, FlowDemand, MaxMinAllocator};
 pub use packet::{PacketRun, PacketSim, Qdisc, Rotation, TimelineEntry, Transfer, TransferOutcome};
 pub use pnet::PacketNet;
-pub use psim::{EgressDiscipline, NetFlow, NetFlowOutcome, NetSimConfig};
 pub use tc::{PortBands, TcConfig};
 pub use topology::{Topology, TopologyBuilder};
-pub use types::{Band, Bandwidth, FlowId, HostId, LinkId};
+pub use types::{Band, Bandwidth, EgressDiscipline, FlowId, HostId, LinkId};

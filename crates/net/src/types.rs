@@ -72,6 +72,17 @@ impl fmt::Display for Band {
     }
 }
 
+/// Egress scheduling discipline of the chunk-level
+/// [`PacketNet`](crate::pnet::PacketNet) (ingress is always FIFO).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EgressDiscipline {
+    /// Round-robin across ready flows (models fair TCP sharing through
+    /// pfifo_fast).
+    FifoFair,
+    /// Strict priority by band, round-robin within a band (htb/prio).
+    Priority,
+}
+
 /// Link bandwidth in bytes per second.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
 pub struct Bandwidth(f64);

@@ -35,7 +35,6 @@ pub mod profile;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventHandle, EventQueue};
 pub use invariant::{InvariantChecker, InvariantViolation};
@@ -44,4 +43,3 @@ pub use profile::{ProfileReport, Profiler, SubsystemProfile};
 pub use rng::{RngFactory, UnitLogNormal};
 pub use stats::{Histogram, OnlineStats, SampleSet, Summary};
 pub use time::{MonotonicTimer, SimDuration, SimTime};
-pub use trace::{TraceRecord, TraceRecorder};

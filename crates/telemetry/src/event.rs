@@ -229,7 +229,7 @@ pub enum SimEvent {
         worker: u32,
     },
     /// Free-text escape hatch for one-off annotations; the scope is an
-    /// interned static label, mirroring the legacy `TraceRecorder` shim.
+    /// interned static label.
     Mark {
         /// Subsystem label (e.g. "net", "job").
         scope: &'static str,

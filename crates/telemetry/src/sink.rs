@@ -214,7 +214,7 @@ impl TelemetryOutput {
     }
 
     /// Human-readable log, one `"{time} [{scope}] {message}"` line per
-    /// event — the shape the legacy `TraceRecorder::render` produced.
+    /// event.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {

@@ -2,7 +2,7 @@
 # Tier-1 verification: everything a PR must keep green.
 #
 #   ./scripts/check.sh         # build + tests + clippy + bench smoke
-#   ./scripts/check.sh fast    # build + tests only (the original tier-1)
+#   ./scripts/check.sh fast    # build + workspace tests only
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,12 +12,19 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+# --workspace again: a bare `cargo test` runs only the root package's
+# tests, skipping every member crate's unit tests.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 if [[ "${1:-}" != "fast" ]]; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    # Rustdoc with warnings denied catches intra-doc links left dangling
+    # by a deleted or renamed item.
+    echo "==> cargo doc --no-deps --workspace (-D warnings)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
     # Single-iteration smoke run of every criterion bench so the bench
     # harness can't rot; numbers are meaningless, only compile+run matter.

@@ -131,31 +131,23 @@ fn work_conservation_matches() {
 
 // ---------------------------------------------------------------------------
 // Multi-host cross-validation: the fluid model vs the independent
-// store-and-forward chunk engine (`tl_net::psim`) on topology-wide
-// scenarios, including the paper's PS fan-out/fan-in pattern.
+// store-and-forward chunk engine (`tl_net::PacketNet`) on topology-wide
+// scenarios, including the paper's PS fan-out/fan-in pattern. Every flow
+// starts at t = 0 on both engines.
 
-use tl_net::{psim, EgressDiscipline, NetFlow, NetSimConfig};
+use tl_net::pnet::{DEFAULT_CHUNK_BYTES, DEFAULT_WINDOW};
+use tl_net::{EgressDiscipline, PacketNet};
 
-fn psim_cfg(hosts: usize, d: EgressDiscipline) -> NetSimConfig {
-    NetSimConfig::new(Topology::uniform(hosts, Bandwidth::from_gbps(LINK_GBPS)), d)
+fn topo(hosts: usize) -> Topology {
+    Topology::uniform(hosts, Bandwidth::from_gbps(LINK_GBPS))
 }
 
-fn fluid_multi(hosts: usize, flows: &[NetFlow]) -> Vec<f64> {
-    let mut net = FluidNet::new(Topology::uniform(hosts, Bandwidth::from_gbps(LINK_GBPS)));
-    let mut ids = Vec::new();
-    for f in flows {
-        ids.push(net.start_flow(
-            f.start,
-            FlowSpec {
-                src: f.src,
-                dst: f.dst,
-                bytes: f.bytes as f64,
-                band: f.band,
-                weight: 1.0,
-                tag: f.tag,
-            },
-        ));
-    }
+fn fluid_multi(hosts: usize, flows: &[FlowSpec]) -> Vec<f64> {
+    let mut net = FluidNet::new(topo(hosts));
+    let ids: Vec<_> = flows
+        .iter()
+        .map(|&f| net.start_flow(SimTime::ZERO, f))
+        .collect();
     let mut done = vec![0.0; flows.len()];
     while let Some(t) = net.next_event_time() {
         for c in net.take_completions(t) {
@@ -166,14 +158,32 @@ fn fluid_multi(hosts: usize, flows: &[NetFlow]) -> Vec<f64> {
     done
 }
 
-fn nf(src: u32, dst: u32, mb: u64, band: u8, tag: u64) -> NetFlow {
-    NetFlow {
+/// Completion times in seconds (input order) on a default-chunked
+/// `PacketNet` with the given egress discipline.
+fn packet_multi(hosts: usize, d: EgressDiscipline, flows: &[FlowSpec]) -> Vec<f64> {
+    let mut net = PacketNet::with_chunking(topo(hosts), DEFAULT_CHUNK_BYTES, DEFAULT_WINDOW, d);
+    let ids: Vec<_> = flows
+        .iter()
+        .map(|&f| net.start_flow(SimTime::ZERO, f))
+        .collect();
+    let mut done = vec![0.0; flows.len()];
+    while let Some(t) = net.next_event_time() {
+        for c in net.take_completions(t) {
+            let k = ids.iter().position(|&i| i == c.id).expect("known flow");
+            done[k] = c.finished.as_secs_f64();
+        }
+    }
+    done
+}
+
+fn nf(src: u32, dst: u32, mb: u64, band: u8, tag: u64) -> FlowSpec {
+    FlowSpec {
         src: HostId(src),
         dst: HostId(dst),
-        bytes: mb * 1_000_000,
+        bytes: (mb * 1_000_000) as f64,
         band: Band(band),
+        weight: 1.0,
         tag,
-        start: SimTime::ZERO,
     }
 }
 
@@ -181,12 +191,11 @@ fn nf(src: u32, dst: u32, mb: u64, band: u8, tag: u64) -> NetFlow {
 fn ps_fanout_agrees_across_models() {
     // One PS (host 0) sends a model update to each of 6 workers — the
     // paper's per-iteration egress burst.
-    let flows: Vec<NetFlow> = (1..=6).map(|w| nf(0, w, 20, 0, w as u64)).collect();
+    let flows: Vec<FlowSpec> = (1..=6).map(|w| nf(0, w, 20, 0, w as u64)).collect();
     let fluid = fluid_multi(7, &flows);
-    let packet = psim::run(&psim_cfg(7, EgressDiscipline::FifoFair), &flows);
+    let packet = packet_multi(7, EgressDiscipline::FifoFair, &flows);
     let total = 120e6 / 1.25e9;
-    for (f, p) in fluid.iter().zip(&packet) {
-        let pt = p.finished.as_secs_f64();
+    for (f, pt) in fluid.iter().zip(&packet) {
         assert!((f - pt).abs() < 0.01, "fanout: fluid {f} vs packet {pt}");
         assert!((pt - total).abs() < 0.01, "all finish near the burst end");
     }
@@ -196,11 +205,10 @@ fn ps_fanout_agrees_across_models() {
 fn gradient_fanin_agrees_across_models() {
     // Six workers send gradients into the PS host — the fan-in direction,
     // bottlenecked at the PS ingress.
-    let flows: Vec<NetFlow> = (1..=6).map(|w| nf(w, 0, 20, 0, w as u64)).collect();
+    let flows: Vec<FlowSpec> = (1..=6).map(|w| nf(w, 0, 20, 0, w as u64)).collect();
     let fluid = fluid_multi(7, &flows);
-    let packet = psim::run(&psim_cfg(7, EgressDiscipline::FifoFair), &flows);
-    for (f, p) in fluid.iter().zip(&packet) {
-        let pt = p.finished.as_secs_f64();
+    let packet = packet_multi(7, EgressDiscipline::FifoFair, &flows);
+    for (f, pt) in fluid.iter().zip(&packet) {
         assert!((f - pt).abs() < 0.01, "fanin: fluid {f} vs packet {pt}");
     }
 }
@@ -215,9 +223,8 @@ fn two_colocated_ps_priority_agrees_across_models() {
         flows.push(nf(0, 4 + w, 20, 1, 2)); // job 2, yields
     }
     let fluid = fluid_multi(7, &flows);
-    let packet = psim::run(&psim_cfg(7, EgressDiscipline::Priority), &flows);
-    for (k, (f, p)) in fluid.iter().zip(&packet).enumerate() {
-        let pt = p.finished.as_secs_f64();
+    let packet = packet_multi(7, EgressDiscipline::Priority, &flows);
+    for (k, (f, pt)) in fluid.iter().zip(&packet).enumerate() {
         assert!((f - pt).abs() < 0.015, "flow {k}: fluid {f} vs packet {pt}");
     }
     // And the job-level story holds in both: job 1's last delivery is at
@@ -246,9 +253,8 @@ fn cross_traffic_pattern_agrees_across_models() {
         nf(2, 0, 10, 0, 4),
     ];
     let fluid = fluid_multi(4, &flows);
-    let packet = psim::run(&psim_cfg(4, EgressDiscipline::FifoFair), &flows);
-    for (k, (f, p)) in fluid.iter().zip(&packet).enumerate() {
-        let pt = p.finished.as_secs_f64();
+    let packet = packet_multi(4, EgressDiscipline::FifoFair, &flows);
+    for (k, (f, pt)) in fluid.iter().zip(&packet).enumerate() {
         assert!((f - pt).abs() < 0.02, "flow {k}: fluid {f} vs packet {pt}");
     }
 }
