@@ -59,7 +59,29 @@ fn slot_of(id: u64) -> usize {
 }
 
 fn make_id(gen: u32, slot: usize) -> u64 {
+    // The slot occupies the low 32 bits; a wider index would alias
+    // another slot's ids.
+    assert!(
+        slot <= u32::MAX as usize,
+        "slot {slot} does not fit the 32-bit id field"
+    );
     ((gen as u64) << 32) | slot as u64
+}
+
+/// Retire a slot generation on recycle. Checked: a wrapped generation
+/// would let a [`CpuTaskId`] issued 2^32 reuses ago resolve to an
+/// unrelated task, so overflow fails loudly instead.
+fn bump_gen(gen: u32) -> u32 {
+    gen.checked_add(1)
+        .expect("task slot generation counter overflow — stale CpuTaskIds would alias")
+}
+
+/// Add `host` to the dirty list unless its flag says it is already there.
+fn mark_dirty(is_dirty: &mut [bool], dirty_hosts: &mut Vec<usize>, host: usize) {
+    if !is_dirty[host] {
+        is_dirty[host] = true;
+        dirty_hosts.push(host);
+    }
 }
 
 /// Event-driven processor-sharing engine over a set of hosts.
@@ -79,9 +101,11 @@ pub struct CpuEngine {
     /// Active slots in creation order (deterministic iteration).
     active: Vec<u32>,
     last_advance: SimTime,
-    /// Hosts whose shares must be recomputed before the next query.
-    dirty_hosts: Vec<bool>,
-    any_dirty: bool,
+    /// Hosts whose shares must be recomputed before the next query, in
+    /// first-marked order; `is_dirty[h]` deduplicates the list, so a
+    /// refresh costs O(active tasks + dirty hosts), never O(hosts).
+    dirty_hosts: Vec<usize>,
+    is_dirty: Vec<bool>,
     /// Cached `next_event_time` result; cleared on any mutation.
     next_cache: Option<Option<SimTime>>,
     /// Reusable per-host task grouping for the water-filling pass.
@@ -103,8 +127,8 @@ impl CpuEngine {
             free: Vec::new(),
             active: Vec::new(),
             last_advance: SimTime::ZERO,
-            dirty_hosts: vec![false; n],
-            any_dirty: false,
+            dirty_hosts: Vec::new(),
+            is_dirty: vec![false; n],
             next_cache: None,
             per_host: vec![Vec::new(); n],
             unfrozen: Vec::new(),
@@ -168,8 +192,7 @@ impl CpuEngine {
             }
         };
         self.active.push(slot as u32);
-        self.dirty_hosts[host] = true;
-        self.any_dirty = true;
+        mark_dirty(&mut self.is_dirty, &mut self.dirty_hosts, host);
         self.next_cache = None;
         CpuTaskId(make_id(self.slots[slot].gen, slot))
     }
@@ -239,6 +262,7 @@ impl CpuEngine {
         let mut done = Vec::new();
         let slots = &mut self.slots;
         let free = &mut self.free;
+        let is_dirty = &mut self.is_dirty;
         let dirty_hosts = &mut self.dirty_hosts;
         self.active.retain(|&slot| {
             let entry = &mut slots[slot as usize];
@@ -252,16 +276,15 @@ impl CpuEngine {
                     started: t.started,
                     finished: now,
                 });
-                entry.gen = entry.gen.wrapping_add(1);
+                entry.gen = bump_gen(entry.gen);
                 free.push(slot);
-                dirty_hosts[t.host] = true;
+                mark_dirty(is_dirty, dirty_hosts, t.host);
                 false
             } else {
                 true
             }
         });
         if !done.is_empty() {
-            self.any_dirty = true;
             self.next_cache = None;
         }
         done
@@ -275,8 +298,7 @@ impl CpuEngine {
         assert!(cores > 0.0 && cores.is_finite(), "invalid cores {cores}");
         self.advance(now);
         self.specs[host].cores = cores;
-        self.dirty_hosts[host] = true;
-        self.any_dirty = true;
+        mark_dirty(&mut self.is_dirty, &mut self.dirty_hosts, host);
         self.next_cache = None;
     }
 
@@ -298,6 +320,7 @@ impl CpuEngine {
         let mut aborted = Vec::new();
         let slots = &mut self.slots;
         let free = &mut self.free;
+        let is_dirty = &mut self.is_dirty;
         let dirty_hosts = &mut self.dirty_hosts;
         self.active.retain(|&slot| {
             let entry = &mut slots[slot as usize];
@@ -308,9 +331,9 @@ impl CpuEngine {
             };
             if pred(id, host, tag) {
                 entry.state = None;
-                entry.gen = entry.gen.wrapping_add(1);
+                entry.gen = bump_gen(entry.gen);
                 free.push(slot);
-                dirty_hosts[host] = true;
+                mark_dirty(is_dirty, dirty_hosts, host);
                 aborted.push((id, tag));
                 false
             } else {
@@ -318,7 +341,6 @@ impl CpuEngine {
             }
         });
         if !aborted.is_empty() {
-            self.any_dirty = true;
             self.next_cache = None;
         }
         aborted
@@ -338,17 +360,16 @@ impl CpuEngine {
     /// Capped max-min share of each host's cores among its runnable tasks.
     ///
     /// Hosts are independent, so only hosts marked dirty since the last
-    /// refresh are re-shared; everyone else keeps their rates.
+    /// refresh are re-shared, in any order, without changing a bit;
+    /// everyone else keeps their rates.
     fn refresh_rates(&mut self) {
-        if !self.any_dirty {
+        if self.dirty_hosts.is_empty() {
             return;
         }
         // Group the dirty hosts' active tasks (creation order preserved).
         let mut per_host = std::mem::take(&mut self.per_host);
-        for (h, list) in per_host.iter_mut().enumerate() {
-            if self.dirty_hosts[h] {
-                list.clear();
-            }
+        for &h in &self.dirty_hosts {
+            per_host[h].clear();
         }
         for &slot in &self.active {
             let h = self.slots[slot as usize]
@@ -356,13 +377,14 @@ impl CpuEngine {
                 .as_ref()
                 .expect("active task missing")
                 .host;
-            if self.dirty_hosts[h] {
+            if self.is_dirty[h] {
                 per_host[h].push(slot);
             }
         }
         let mut unfrozen = std::mem::take(&mut self.unfrozen);
-        for (h, ids) in per_host.iter().enumerate() {
-            if !self.dirty_hosts[h] || ids.is_empty() {
+        for &h in &self.dirty_hosts {
+            let ids = &per_host[h];
+            if ids.is_empty() {
                 continue;
             }
             let mut remaining_cores = self.specs[h].cores;
@@ -401,8 +423,9 @@ impl CpuEngine {
         }
         self.unfrozen = unfrozen;
         self.per_host = per_host;
-        self.dirty_hosts.fill(false);
-        self.any_dirty = false;
+        for h in self.dirty_hosts.drain(..) {
+            self.is_dirty[h] = false;
+        }
     }
 }
 
@@ -562,6 +585,34 @@ mod tests {
         let t = e.next_event_time().unwrap();
         assert!((t.as_secs_f64() - 5.0).abs() < 1e-6);
         assert_eq!(e.take_completions(t).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "generation counter overflow")]
+    fn generation_overflow_fails_loudly() {
+        // A slot generation at u32::MAX has handed out ids for 2^32
+        // tasks; one more recycle would make the oldest id resolve to the
+        // newest task. The recycle must panic instead.
+        let mut e = engine(1, 1.0);
+        e.start_task(SimTime::ZERO, 0, 1.0, 1.0, 0);
+        e.slots[0].gen = u32::MAX;
+        let t = e.next_event_time().unwrap();
+        e.take_completions(t);
+    }
+
+    #[test]
+    #[should_panic(expected = "generation counter overflow")]
+    fn abort_generation_overflow_fails_loudly() {
+        let mut e = engine(1, 1.0);
+        e.start_task(SimTime::ZERO, 0, 1.0, 1.0, 0);
+        e.slots[0].gen = u32::MAX;
+        e.abort_tasks_where(SimTime::ZERO, |_, _, _| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the 32-bit id field")]
+    fn task_id_packing_rejects_oversized_slots() {
+        let _ = make_id(0, (u32::MAX as usize) + 1);
     }
 
     #[test]

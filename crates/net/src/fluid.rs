@@ -210,9 +210,11 @@ pub struct FluidNet {
     active: Vec<u32>,
     last_advance: SimTime,
     /// Hosts whose attached flow set or bands changed since the last rate
-    /// refresh; the allocator re-solves only their components.
-    dirty_hosts: Vec<bool>,
-    any_dirty: bool,
+    /// refresh, in first-marked order; the allocator re-solves only their
+    /// components. `is_dirty[h]` deduplicates the list, so bookkeeping
+    /// costs O(changed hosts) per refresh, never O(hosts).
+    dirty_hosts: Vec<HostId>,
+    is_dirty: Vec<bool>,
     /// Cached `next_event_time` result; cleared on any mutation.
     next_cache: Option<Option<SimTime>>,
     /// Flows harvested by `advance` at their exact depletion instant,
@@ -268,8 +270,8 @@ impl FluidNet {
             free: Vec::new(),
             active: Vec::new(),
             last_advance: SimTime::ZERO,
-            dirty_hosts: vec![false; n],
-            any_dirty: false,
+            dirty_hosts: Vec::new(),
+            is_dirty: vec![false; n],
             next_cache: None,
             pending_done: Vec::new(),
             allocator: MaxMinAllocator::new(),
@@ -344,8 +346,11 @@ impl FluidNet {
     }
 
     fn mark_dirty(&mut self, host: HostId) {
-        self.dirty_hosts[host.0 as usize] = true;
-        self.any_dirty = true;
+        let flag = &mut self.is_dirty[host.0 as usize];
+        if !*flag {
+            *flag = true;
+            self.dirty_hosts.push(host);
+        }
         self.next_cache = None;
     }
 
@@ -493,8 +498,8 @@ impl FluidNet {
                 entry.state = None;
                 entry.gen = bump_gen(entry.gen);
                 self.free.push(slot);
-                self.dirty_hosts[spec.src.0 as usize] = true;
-                self.dirty_hosts[spec.dst.0 as usize] = true;
+                self.mark_dirty(spec.src);
+                self.mark_dirty(spec.dst);
                 bump_depl_ver(&mut self.depl_ver, slot as usize);
                 aborted.push((id, spec.tag));
             } else {
@@ -509,8 +514,6 @@ impl FluidNet {
             self.demands.truncate(w);
             self.rates.truncate(w);
             self.structure_dirty = true;
-            self.any_dirty = true;
-            self.next_cache = None;
             self.pending_cause = ShareChangeCause::Fault;
         }
         aborted
@@ -536,13 +539,11 @@ impl FluidNet {
                 // Bands are egress-scoped; marking the sender dirties the
                 // flow's whole component.
                 let src = f.spec.src;
-                self.dirty_hosts[src.0 as usize] = true;
+                self.mark_dirty(src);
                 any = true;
             }
         }
         if any {
-            self.any_dirty = true;
-            self.next_cache = None;
             self.pending_cause = ShareChangeCause::Rotation;
             self.telemetry.emit_with(now, || SimEvent::PriorityRotation {
                 tag,
@@ -642,8 +643,8 @@ impl FluidNet {
                     finished: at,
                     bytes: f.spec.bytes,
                 });
-                self.dirty_hosts[f.spec.src.0 as usize] = true;
-                self.dirty_hosts[f.spec.dst.0 as usize] = true;
+                self.mark_dirty(f.spec.src);
+                self.mark_dirty(f.spec.dst);
                 self.free.push(slot);
                 bump_depl_ver(&mut self.depl_ver, slot as usize);
             } else {
@@ -660,8 +661,6 @@ impl FluidNet {
         self.demands.truncate(w);
         self.rates.truncate(w);
         self.structure_dirty = true;
-        self.any_dirty = true;
-        self.next_cache = None;
         self.pending_cause = ShareChangeCause::CompetitorFinished;
         if self.telemetry.is_enabled() {
             for d in &self.pending_done[before..] {
@@ -758,7 +757,7 @@ impl FluidNet {
     }
 
     fn refresh_rates(&mut self) {
-        if !self.any_dirty {
+        if self.dirty_hosts.is_empty() {
             return;
         }
         debug_assert_eq!(self.demands.len(), self.active.len());
@@ -841,8 +840,9 @@ impl FluidNet {
             entries.retain(|&Reverse(e)| self.depl_ver[e.slot as usize] == e.ver);
             self.depl_heap = entries.into();
         }
-        self.dirty_hosts.fill(false);
-        self.any_dirty = false;
+        for h in self.dirty_hosts.drain(..) {
+            self.is_dirty[h.0 as usize] = false;
+        }
         if self.invariants.is_enabled() {
             self.check_allocation();
         }

@@ -476,6 +476,11 @@ pub struct MaxMinAllocator {
     // Union-find over hosts + fabric links, rebuilt per structure change
     // and kept for O(α) host→component lookups between rebuilds.
     parent: Vec<u32>,
+    // Nodes the last build made children of another node: exactly the
+    // nodes with `parent[x] != x` (path compression only rewrites
+    // non-roots), so resetting them restores the identity forest in
+    // O(flows) instead of O(hosts + fabric links).
+    uf_linked: Vec<u32>,
     // Dense component ids in order of first appearance along `flows`,
     // keyed by union-find root (always a host; roots are minima).
     host_comp: Vec<u32>,
@@ -574,18 +579,19 @@ impl MaxMinAllocator {
         self.stats.wall_nanos += started.elapsed().as_nanos() as u64;
     }
 
-    /// Re-solve only the components that contain a host flagged in
-    /// `dirty_hosts`; for every flow of an untouched component, `rates[i]`
-    /// is left exactly as passed in (the caller supplies the previous
-    /// allocation). Produces bit-identical results to
-    /// [`MaxMinAllocator::allocate_into`] provided the rates of clean
-    /// components are indeed unchanged — which the dirty-host contract
-    /// guarantees: any input change to a component marks one of its hosts.
+    /// Re-solve only the components that contain a host listed in
+    /// `dirty_hosts` (duplicates are harmless); for every flow of an
+    /// untouched component, `rates[i]` is left exactly as passed in (the
+    /// caller supplies the previous allocation). Produces bit-identical
+    /// results to [`MaxMinAllocator::allocate_into`] provided the rates of
+    /// clean components are indeed unchanged — which the dirty-host
+    /// contract guarantees: any input change to a component marks one of
+    /// its hosts. Panics if a listed host is outside `topo`.
     pub fn allocate_dirty_into(
         &mut self,
         topo: &Topology,
         flows: &[FlowDemand],
-        dirty_hosts: &[bool],
+        dirty_hosts: &[HostId],
         rates: &mut [f64],
     ) {
         self.allocate_dirty_reuse(topo, flows, dirty_hosts, rates, false);
@@ -607,7 +613,7 @@ impl MaxMinAllocator {
         &mut self,
         topo: &Topology,
         flows: &[FlowDemand],
-        dirty_hosts: &[bool],
+        dirty_hosts: &[HostId],
         rates: &mut [f64],
         structure_unchanged: bool,
     ) {
@@ -617,11 +623,11 @@ impl MaxMinAllocator {
             flows.len(),
             "partial solve needs the previous rate for every flow"
         );
-        assert_eq!(
-            dirty_hosts.len(),
-            topo.num_hosts(),
-            "dirty set / topology mismatch"
-        );
+        // Cheap (O(dirty)) and load-bearing: a host id in the fabric-link
+        // range would otherwise resolve to a union-find link node.
+        for &h in dirty_hosts {
+            assert!(topo.contains(h), "dirty host {} outside topology", h.0);
+        }
         self.stats.invocations += 1;
         self.touched.clear();
         if !flows.is_empty() {
@@ -677,20 +683,25 @@ impl MaxMinAllocator {
             // set containing a fabric node always contains a host (unions
             // only arise from flows) and roots are minima, so every root
             // is a host id.
-            self.parent.clear();
-            self.parent.extend(0..(n + nf) as u32);
+            if self.parent.len() == n + nf {
+                for &x in &self.uf_linked {
+                    self.parent[x as usize] = x;
+                }
+            } else {
+                self.parent.clear();
+                self.parent.extend(0..(n + nf) as u32);
+            }
+            self.uf_linked.clear();
             for f in flows {
                 if f.src != f.dst {
-                    let a = uf_find(&mut self.parent, f.src.0);
-                    let b = uf_find(&mut self.parent, f.dst.0);
-                    if a != b {
-                        self.parent[a.max(b) as usize] = a.min(b);
-                    }
-                    for l in topo.route(f.src, f.dst).into_iter().flatten() {
+                    let dst = f.dst.0;
+                    let links = topo.route(f.src, f.dst).into_iter().flatten();
+                    for b in std::iter::once(dst).chain(links.map(|l| n as u32 + l.0)) {
                         let a = uf_find(&mut self.parent, f.src.0);
-                        let b = uf_find(&mut self.parent, n as u32 + l.0);
+                        let b = uf_find(&mut self.parent, b);
                         if a != b {
                             self.parent[a.max(b) as usize] = a.min(b);
+                            self.uf_linked.push(a.max(b));
                         }
                     }
                 }
@@ -740,21 +751,21 @@ impl MaxMinAllocator {
     /// lifted onto the fabric tier by probing the host's rack links — two
     /// flows can share a rack uplink without sharing a host, so a
     /// host-only check would wrongly retain the neighbour's component.
-    fn mark_dirty_components(&mut self, topo: &Topology, dirty: &[bool], comp_count: usize) {
+    fn mark_dirty_components(&mut self, topo: &Topology, dirty: &[HostId], comp_count: usize) {
         let n = topo.num_hosts();
         if topo.core_capacity().is_some() {
             // A core capacity couples every flow: bandwidth freed by a
             // departed flow (whose hosts may appear in no surviving
             // demand) can raise other flows' rates through the shared core
             // link. Any dirtiness at all re-solves the single component.
-            if dirty.iter().any(|&d| d) {
+            if !dirty.is_empty() {
                 self.comp_dirty[..comp_count].fill(true);
             }
             return;
         }
         let has_fabric = topo.num_fabric_links() > 0;
-        for (h, _) in dirty.iter().enumerate().filter(|(_, &d)| d) {
-            let root = uf_find(&mut self.parent, h as u32) as usize;
+        for &h in dirty {
+            let root = uf_find(&mut self.parent, h.0) as usize;
             // A root outside the host range or with a stale stamp belongs
             // to no current component (e.g. both endpoints of a departed
             // flow): nothing to re-solve there.
@@ -762,11 +773,7 @@ impl MaxMinAllocator {
                 self.comp_dirty[self.host_comp[root] as usize] = true;
             }
             if has_fabric {
-                for l in topo
-                    .host_fabric_links(HostId(h as u32))
-                    .into_iter()
-                    .flatten()
-                {
+                for l in topo.host_fabric_links(h).into_iter().flatten() {
                     let root = uf_find(&mut self.parent, (n + l.0 as usize) as u32) as usize;
                     if root < n && self.host_comp_stamp[root] == self.comp_stamp {
                         self.comp_dirty[self.host_comp[root] as usize] = true;
@@ -782,7 +789,7 @@ impl MaxMinAllocator {
         flows: &[FlowDemand],
         rates: &mut [f64],
         comp_count: usize,
-        dirty_hosts: Option<&[bool]>,
+        dirty_hosts: Option<&[HostId]>,
     ) {
         let n = topo.num_hosts();
         let num_links =
@@ -1215,9 +1222,7 @@ mod tests {
         let mut rates = a.allocate(&t, &flows);
         assert_eq!(a.last_touched(), &[0, 1, 2], "full solve touches all");
 
-        let mut dirty = vec![false; 6];
-        dirty[2] = true;
-        a.allocate_dirty_into(&t, &flows, &dirty, &mut rates);
+        a.allocate_dirty_into(&t, &flows, &[HostId(2)], &mut rates);
         assert_eq!(a.last_touched(), &[1], "only the dirty component");
     }
 
@@ -1305,9 +1310,7 @@ mod tests {
             demand(6, 7, 0, 1.0), // rack1-local
         ];
         let mut rates = a.allocate(&t, &flows);
-        let mut dirty = vec![false; 8];
-        dirty[0] = true;
-        a.allocate_dirty_into(&t, &flows, &dirty, &mut rates);
+        a.allocate_dirty_into(&t, &flows, &[HostId(0)], &mut rates);
         assert_eq!(
             a.last_touched(),
             &[0, 1],
@@ -1330,10 +1333,7 @@ mod tests {
         for f in &mut flows {
             f.band = Band((f.band.0 + 1) % 3);
         }
-        let mut dirty = vec![false; 9];
-        dirty[0] = true;
-        dirty[1] = true;
-        a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, true);
+        a.allocate_dirty_reuse(&t, &flows, &[HostId(0), HostId(1)], &mut rates, true);
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
         assert_eq!(rates, fresh, "fabric dirty-reuse diverged");
     }
@@ -1357,10 +1357,7 @@ mod tests {
 
         let survivor = [both[1]];
         let mut partial = vec![rates[1]];
-        let mut dirty = vec![false; 4];
-        dirty[0] = true;
-        dirty[2] = true;
-        a.allocate_dirty_into(&t, &survivor, &dirty, &mut partial);
+        a.allocate_dirty_into(&t, &survivor, &[HostId(0), HostId(2)], &mut partial);
         let fresh = MaxMinAllocator::new().allocate(&t, &survivor);
         assert!(
             (fresh[0] - LINK / 2.0).abs() < 1.0,
@@ -1394,9 +1391,7 @@ mod tests {
         for f in &mut flows {
             f.band = Band((f.band.0 + 1) % 3);
         }
-        let mut dirty = vec![false; 6];
-        dirty[0] = true;
-        a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, true);
+        a.allocate_dirty_reuse(&t, &flows, &[HostId(0)], &mut rates, true);
 
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
         assert_eq!(rates[..3], fresh[..3], "reused structure diverged");
@@ -1405,10 +1400,7 @@ mod tests {
         // A stale hint with a different flow count is ignored, not trusted.
         flows.push(demand(1, 4, 0, 1.0));
         rates.push(0.0);
-        let mut dirty = vec![false; 6];
-        dirty[1] = true;
-        dirty[4] = true;
-        a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, true);
+        a.allocate_dirty_reuse(&t, &flows, &[HostId(1), HostId(4)], &mut rates, true);
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
         assert_eq!(rates, fresh, "count mismatch must force a rebuild");
     }
@@ -1461,14 +1453,14 @@ mod tests {
     }
 
     /// Apply one tick's ops to (flows, rates) in lockstep, returning the
-    /// dirty-host set and whether membership changed.
+    /// dirty-host list (with duplicates, as the contract allows) and
+    /// whether membership changed.
     fn apply_ops(
         ops: &[ChurnOp],
         flows: &mut Vec<FlowDemand>,
         rates: &mut Vec<f64>,
-        hosts: usize,
-    ) -> (Vec<bool>, bool) {
-        let mut dirty = vec![false; hosts];
+    ) -> (Vec<HostId>, bool) {
+        let mut dirty = Vec::new();
         let mut structural = false;
         for op in ops {
             match *op {
@@ -1476,13 +1468,11 @@ mod tests {
                     let k = k.min(flows.len() - 1);
                     let f = flows.remove(k);
                     rates.remove(k);
-                    dirty[f.src.0 as usize] = true;
-                    dirty[f.dst.0 as usize] = true;
+                    dirty.extend([f.src, f.dst]);
                     structural = true;
                 }
                 ChurnOp::Add(f) => {
-                    dirty[f.src.0 as usize] = true;
-                    dirty[f.dst.0 as usize] = true;
+                    dirty.extend([f.src, f.dst]);
                     flows.push(f);
                     rates.push(0.0);
                     structural = true;
@@ -1490,7 +1480,7 @@ mod tests {
                 ChurnOp::Rotate(k) => {
                     let k = k.min(flows.len() - 1);
                     flows[k].band = Band((flows[k].band.0 + 1) % 3);
-                    dirty[flows[k].src.0 as usize] = true;
+                    dirty.push(flows[k].src);
                 }
             }
         }
@@ -1515,7 +1505,7 @@ mod tests {
             let mut flows: Vec<FlowDemand> = Vec::new();
             let mut rates: Vec<f64> = Vec::new();
             for (step, ops) in churn_schedule(seed, hosts as u32, 40, 8).iter().enumerate() {
-                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates, hosts);
+                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
                 a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
                 let fresh = MaxMinAllocator::new().allocate(&t, &flows);
                 assert_eq!(
@@ -1527,4 +1517,95 @@ mod tests {
         }
     }
 
+    #[test]
+    fn departed_hosts_mark_nothing_after_a_rebuild() {
+        // 0→4 crosses the fabric; when it departs, hosts 0 and 4 (and
+        // their rack links) are listed dirty but belong to no surviving
+        // flow. The rebuild must leave them unmarked: both local pairs
+        // keep their cached rates.
+        let t = crate::topology::TopologyBuilder::leaf_spine(2, 4, 2.0)
+            .link(Bandwidth::from_gbps(10.0))
+            .build();
+        let mut a = MaxMinAllocator::new();
+        let flows = [
+            demand(0, 4, 0, 1.0),
+            demand(1, 2, 0, 1.0),
+            demand(5, 6, 0, 1.0),
+        ];
+        let rates = a.allocate(&t, &flows);
+        let before = a.stats();
+        let mut survivors = vec![flows[1], flows[2]];
+        let mut kept = vec![rates[1], rates[2]];
+        a.allocate_dirty_reuse(&t, &survivors, &[HostId(0), HostId(4)], &mut kept, false);
+        assert!(
+            a.last_touched().is_empty(),
+            "touched {:?}",
+            a.last_touched()
+        );
+        let after = a.stats();
+        assert_eq!(after.components_solved, before.components_solved);
+        assert_eq!(after.components_retained, before.components_retained + 2);
+
+        // The previous build linked 2 under 1. Replace both flows with
+        // 1→3 and 2→0: were that link not reset, the two would share a
+        // component and dirtying host 3 alone would re-solve both.
+        survivors = vec![demand(1, 3, 0, 1.0), demand(2, 0, 0, 1.0)];
+        kept = vec![0.0; 2];
+        let all: Vec<HostId> = (0..4).map(HostId).collect();
+        a.allocate_dirty_reuse(&t, &survivors, &all, &mut kept, false);
+        assert_eq!(a.last_touched(), &[0, 1]);
+        a.allocate_dirty_reuse(&t, &survivors, &[HostId(3)], &mut kept, true);
+        assert_eq!(
+            a.last_touched(),
+            &[0],
+            "stale union-find link merged components"
+        );
+        assert_eq!(kept, MaxMinAllocator::new().allocate(&t, &survivors));
+    }
+
+    #[test]
+    fn allocator_reused_across_topology_sizes_matches_fresh() {
+        // n + nf differs between the two topologies (6 + 0 vs 12 + 6), so
+        // switching forces the full union-find re-init; switching back
+        // must not inherit links from the larger build.
+        let flat = topo(6, 10.0);
+        let fabric = crate::topology::TopologyBuilder::leaf_spine(3, 4, 2.0)
+            .link(Bandwidth::from_gbps(10.0))
+            .build();
+        assert_ne!(
+            flat.num_hosts() + flat.num_fabric_links(),
+            fabric.num_hosts() + fabric.num_fabric_links()
+        );
+        let mut a = MaxMinAllocator::new();
+        for (round, t) in [&flat, &fabric, &flat, &fabric].into_iter().enumerate() {
+            let hosts = t.num_hosts();
+            let mut flows: Vec<FlowDemand> = Vec::new();
+            let mut rates: Vec<f64> = Vec::new();
+            for ops in churn_schedule(round as u64, hosts as u32, 20, 6) {
+                let (dirty, structural) = apply_ops(&ops, &mut flows, &mut rates);
+                a.allocate_dirty_reuse(t, &flows, &dirty, &mut rates, !structural);
+                let fresh = MaxMinAllocator::new().allocate(t, &flows);
+                assert_eq!(
+                    rates,
+                    fresh,
+                    "round {round} diverged at {} flows",
+                    flows.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside topology")]
+    fn dirty_host_outside_topology_panics() {
+        // Host id 4 on a 4-host leaf–spine is the index of the first
+        // fabric-link node in the union-find; it must still be rejected.
+        let t = crate::topology::TopologyBuilder::leaf_spine(2, 2, 2.0)
+            .link(Bandwidth::from_gbps(10.0))
+            .build();
+        let mut a = MaxMinAllocator::new();
+        let flows = [demand(0, 2, 0, 1.0)];
+        let mut rates = a.allocate(&t, &flows);
+        a.allocate_dirty_into(&t, &flows, &[HostId(4)], &mut rates);
+    }
 }

@@ -75,6 +75,15 @@ if [[ "${1:-}" != "fast" ]]; then
     ./target/release/repro --experiment scale --json "$tmp/scale" > /dev/null
     cmp "$tmp/scale/scale.canonical.json" results/json/scale.canonical.json
 
+    # XL golden gate: the 10,000-host x 5,000-job leaf-spine cell under all
+    # three policies. Its canonical JSON carries events, allocator
+    # invocations, components solved/retained, rounds, flows touched and
+    # mean-JCT bits, so any change in deterministic work at 10k hosts fails
+    # the cmp.
+    echo "==> XL scale golden (10,000 hosts vs results/json/scale_xl.canonical.json)"
+    ./target/release/repro --experiment scale --xl --json "$tmp/scale_xl" > /dev/null
+    cmp "$tmp/scale_xl/scale.canonical.json" results/json/scale_xl.canonical.json
+
     # Fabric smoke: the full policy x oversubscription x pattern grid on
     # the leaf-spine topology at smoke-test iteration counts (repro asserts
     # every cell completes all jobs).

@@ -438,6 +438,103 @@ proptest! {
     }
 }
 
+/// One step of the `CpuEngine` script: a task start, a jump to the next
+/// completion, an abort of one host's tasks with odd (or even) tags, or a
+/// core-count change.
+#[derive(Debug, Clone, Copy)]
+enum CpuOp {
+    Start {
+        host: usize,
+        core_secs: f64,
+        cap: f64,
+    },
+    Collect,
+    Abort {
+        host: usize,
+        parity: u64,
+    },
+    Cores {
+        host: usize,
+        cores: f64,
+    },
+}
+
+const CPU_HOSTS: usize = 64;
+
+fn arb_cpu_script() -> impl Strategy<Value = Vec<CpuOp>> {
+    prop::collection::vec(
+        (0u8..8, 0..CPU_HOSTS, 0.1f64..5.0, 0.25f64..3.0, 0u64..2).prop_map(
+            |(kind, host, x, y, parity)| match kind {
+                0..=3 => CpuOp::Start {
+                    host,
+                    core_secs: x,
+                    cap: y,
+                },
+                4 | 5 => CpuOp::Collect,
+                6 => CpuOp::Abort { host, parity },
+                _ => CpuOp::Cores { host, cores: y },
+            },
+        ),
+        1..200,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `CpuEngine` re-shares only the hosts it listed dirty; after every
+    /// step of a random script, each live task's share must equal, bit for
+    /// bit, its share in a fresh engine given the same tasks and cores.
+    #[test]
+    fn cpu_engine_incremental_shares_match_fresh(ops in arb_cpu_script()) {
+        use tl_cluster::{CpuEngine, CpuTaskId, HostSpec};
+        let mut cores = vec![2.0; CPU_HOSTS];
+        let specs = |cores: &[f64]| cores.iter().map(|&c| HostSpec::with_cores(c)).collect();
+        let mut e = CpuEngine::new(specs(&cores));
+        // (id, host, cap, tag) per live task, in creation order.
+        let mut live: Vec<(CpuTaskId, usize, f64, u64)> = Vec::new();
+        let mut now = PTime::ZERO;
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                CpuOp::Start { host, core_secs, cap } => {
+                    let id = e.start_task(now, host, core_secs, cap, step as u64);
+                    live.push((id, host, cap, step as u64));
+                }
+                CpuOp::Collect => {
+                    if let Some(t) = e.next_event_time() {
+                        now = t;
+                        let done = e.take_completions(now);
+                        live.retain(|l| done.iter().all(|d| d.id != l.0));
+                    }
+                }
+                CpuOp::Abort { host, parity } => {
+                    // Partial: survivors on `host` must be re-shared.
+                    let hit = |h: usize, tag: u64| h == host && tag % 2 == parity;
+                    e.abort_tasks_where(now, |_, h, tag| hit(h, tag));
+                    live.retain(|l| !hit(l.1, l.3));
+                }
+                CpuOp::Cores { host, cores: c } => {
+                    e.set_host_cores(now, host, c);
+                    cores[host] = c;
+                }
+            }
+            prop_assert_eq!(e.active_task_count(), live.len());
+            let mut fresh = CpuEngine::new(specs(&cores));
+            let fresh_ids: Vec<CpuTaskId> = live
+                .iter()
+                .map(|&(_, host, cap, _)| fresh.start_task(PTime::ZERO, host, 1.0, cap, 0))
+                .collect();
+            for (&(id, host, ..), &fid) in live.iter().zip(&fresh_ids) {
+                let got = e.rate_of(id).expect("live task has a rate");
+                let want = fresh.rate_of(fid).expect("fresh task has a rate");
+                prop_assert_eq!(got.to_bits(), want.to_bits(),
+                    "step {} ({:?}): task on host {} has {} cores, fresh engine {}",
+                    step, op, host, got, want);
+            }
+        }
+    }
+}
+
 /// Perf counters are observational: two identical runs produce identical
 /// simulation results and identical counters, except for wall time (the
 /// only non-deterministic field).
