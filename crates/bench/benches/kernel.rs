@@ -211,7 +211,7 @@ fn bench_churn(c: &mut Criterion) {
     // 4:1 oversubscription, every host streaming cross-rack, one rack's
     // flows churning bands each iteration. Fabric links couple flows that
     // share no host, so dirtiness must spill across the uplink — this
-    // meters `allocate_dirty_reuse` with the fabric-aware dirty check.
+    // meters `allocate_dirty_into` with the fabric-aware dirty check.
     g.bench_function("dirty_reuse_leaf_spine_4x16", |b| {
         let topo = tl_net::TopologyBuilder::leaf_spine(4, 16, 4.0)
             .link(Bandwidth::from_gbps(10.0))
@@ -237,7 +237,7 @@ fn bench_churn(c: &mut Criterion) {
             for f in &mut flows[..16] {
                 f.band = Band((f.band.0 + round) % 6);
             }
-            alloc.allocate_dirty_reuse(&topo, black_box(&flows), &dirty, &mut rates, true);
+            alloc.allocate_dirty_into(&topo, black_box(&flows), &dirty, &mut rates);
             black_box(rates[0])
         });
     });

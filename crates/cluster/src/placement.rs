@@ -88,11 +88,6 @@ impl JobPlacement {
     pub fn ps_host(&self) -> HostId {
         self.ps.primary()
     }
-
-    /// All PS shard hosts, primary first.
-    pub fn ps_shard_hosts(&self) -> Vec<HostId> {
-        self.ps.iter().collect()
-    }
 }
 
 /// Placement of a set of concurrent jobs (indexed by job).

@@ -250,7 +250,8 @@ pub struct SimOutput {
     /// Rate-allocator performance counters for the whole run (invocations,
     /// components solved vs retained, rounds, flows touched, wall time).
     pub alloc_stats: AllocStats,
-    /// Structured telemetry: typed events (empty unless `SimConfig::trace`)
+    /// Structured telemetry: typed events (empty unless
+    /// `SimConfig::telemetry_events`)
     /// and metric timeseries (empty unless `SimConfig::metrics_interval`).
     /// Export with [`TelemetryOutput::to_jsonl`] /
     /// [`TelemetryOutput::to_chrome_trace`] / [`TelemetryOutput::metrics_json`].

@@ -113,7 +113,7 @@ impl TopologySpec {
                 oversub,
             } => {
                 assert!(
-                    (racks * hosts_per_rack) as usize >= min_hosts,
+                    racks as usize * hosts_per_rack as usize >= min_hosts,
                     "leaf-spine {racks}x{hosts_per_rack} has fewer hosts than the \
                      placement needs ({min_hosts})"
                 );
@@ -175,9 +175,16 @@ impl FromStr for TopologySpec {
         if racks == 0 || hosts_per_rack == 0 {
             return Err(format!("leaf-spine shape '{grid}' must be nonzero"));
         }
-        // NaN must be rejected too, hence the explicit second arm.
-        if oversub < 1.0 || oversub.is_nan() {
-            return Err(format!("oversubscription {oversub} must be >= 1.0"));
+        // Host ids are u32, so the host count must fit one.
+        if racks.checked_mul(hosts_per_rack).is_none() {
+            return Err(format!(
+                "leaf-spine shape '{grid}' has more than {} hosts",
+                u32::MAX
+            ));
+        }
+        // `is_finite` rejects NaN as well as infinity.
+        if !oversub.is_finite() || oversub < 1.0 {
+            return Err(format!("oversubscription {oversub} must be finite and >= 1.0"));
         }
         Ok(TopologySpec::LeafSpine {
             racks,
@@ -224,6 +231,20 @@ mod tests {
         );
         assert!("leaf-spine:3x4@0.5".parse::<TopologySpec>().is_err());
         assert!("mesh".parse::<TopologySpec>().is_err());
+    }
+
+    #[test]
+    fn topology_spec_rejects_unbuildable_shapes() {
+        // Each parses as numbers but cannot be built: an infinite
+        // oversubscription, and host counts past the u32 `HostId` range.
+        for bad in [
+            "leaf-spine:3x7@inf",
+            "leaf-spine:3x7@NaN",
+            "leaf-spine:100000x100000",
+            "leaf-spine:65536x65536@2",
+        ] {
+            assert!(bad.parse::<TopologySpec>().is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

@@ -35,6 +35,16 @@ fn usage_errors_exit_2() {
 
     let out = repro().arg("--iterations").output().unwrap();
     assert_eq!(out.status.code(), Some(2), "missing flag value is a usage error");
+
+    // Topologies that parse as numbers but cannot be built are rejected
+    // at the command line, not by a panic or an abort mid-run.
+    for topology in ["leaf-spine:3x7@inf", "leaf-spine:100000x100000"] {
+        let out = repro()
+            .args(["--experiment", "perf", "--iterations", "1", "--topology", topology])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--topology {topology}");
+    }
 }
 
 #[test]

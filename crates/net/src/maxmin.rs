@@ -473,8 +473,8 @@ fn solve_component(
 #[derive(Debug, Default)]
 pub struct MaxMinAllocator {
     scratch: SolveScratch,
-    // Union-find over hosts + fabric links, rebuilt per structure change
-    // and kept for O(α) host→component lookups between rebuilds.
+    // Union-find over hosts + fabric links, rebuilt from the flow list on
+    // every call and then used for O(α) host→component lookups.
     parent: Vec<u32>,
     // Nodes the last build made children of another node: exactly the
     // nodes with `parent[x] != x` (path compression only rewrites
@@ -493,10 +493,6 @@ pub struct MaxMinAllocator {
     comp_of: Vec<u32>,
     // Reusable counting-sort cursor for the CSR build.
     cursor: Vec<u32>,
-    // Component count of the CSR currently in the buffers, tagged with the
-    // flow count it was built for; lets a caller that knows the flow list
-    // is unchanged skip the per-call union-find + CSR rebuild.
-    cached_structure: Option<(usize, usize)>,
     // Flow indices whose rates the last call (re)wrote — i.e. members of
     // re-solved components — in ascending order. Callers use it to update
     // only the affected downstream state (see `FluidNet::refresh_rates`).
@@ -526,11 +522,6 @@ impl MaxMinAllocator {
     /// Cumulative performance counters for this allocator.
     pub fn stats(&self) -> AllocStats {
         self.stats
-    }
-
-    /// Reset the performance counters to zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = AllocStats::default();
     }
 
     /// Flow indices written by the most recent allocate call (members of
@@ -586,36 +577,16 @@ impl MaxMinAllocator {
     /// results to [`MaxMinAllocator::allocate_into`] provided the rates of
     /// clean components are indeed unchanged — which the dirty-host
     /// contract guarantees: any input change to a component marks one of
-    /// its hosts. Panics if a listed host is outside `topo`.
+    /// its hosts. The component structure is rebuilt from `flows` on every
+    /// call (O(flows)), so the caller may change membership, order and
+    /// endpoints freely between calls. Panics if a listed host is outside
+    /// `topo`.
     pub fn allocate_dirty_into(
         &mut self,
         topo: &Topology,
         flows: &[FlowDemand],
         dirty_hosts: &[HostId],
         rates: &mut [f64],
-    ) {
-        self.allocate_dirty_reuse(topo, flows, dirty_hosts, rates, false);
-    }
-
-    /// [`MaxMinAllocator::allocate_dirty_into`] with an optional shortcut:
-    /// when `structure_unchanged` is true the caller asserts that `flows`
-    /// has the same length, order, and endpoints as on the previous call to
-    /// this allocator, so the union-find + CSR component structure from
-    /// that call is still valid and is reused instead of rebuilt. Band,
-    /// weight, and `max_rate` changes do not affect connectivity and are
-    /// fine under the shortcut; any insertion, removal, or reordering of
-    /// flows is not — a same-tick departure + arrival that leaves the
-    /// count unchanged still changes membership and must pass `false`
-    /// (the count check below cannot catch it). The hint is ignored (and
-    /// the structure rebuilt) if the flow count disagrees with the cached
-    /// structure.
-    pub fn allocate_dirty_reuse(
-        &mut self,
-        topo: &Topology,
-        flows: &[FlowDemand],
-        dirty_hosts: &[HostId],
-        rates: &mut [f64],
-        structure_unchanged: bool,
     ) {
         let started = std::time::Instant::now();
         assert_eq!(
@@ -631,10 +602,7 @@ impl MaxMinAllocator {
         self.stats.invocations += 1;
         self.touched.clear();
         if !flows.is_empty() {
-            let comp_count = match self.cached_structure {
-                Some((len, count)) if structure_unchanged && len == flows.len() => count,
-                _ => self.build_components(topo, flows),
-            };
+            let comp_count = self.build_components(topo, flows);
             self.solve_components(topo, flows, rates, comp_count, Some(dirty_hosts));
         }
         self.stats.wall_nanos += started.elapsed().as_nanos() as u64;
@@ -741,7 +709,6 @@ impl MaxMinAllocator {
             self.comp_flows[slot as usize] = i as u32;
             self.cursor[c as usize] = slot + 1;
         }
-        self.cached_structure = Some((flows.len(), comp_count));
         comp_count
     }
 
@@ -1333,7 +1300,7 @@ mod tests {
         for f in &mut flows {
             f.band = Band((f.band.0 + 1) % 3);
         }
-        a.allocate_dirty_reuse(&t, &flows, &[HostId(0), HostId(1)], &mut rates, true);
+        a.allocate_dirty_into(&t, &flows, &[HostId(0), HostId(1)], &mut rates);
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
         assert_eq!(rates, fresh, "fabric dirty-reuse diverged");
     }
@@ -1372,37 +1339,6 @@ mod tests {
             fresh[0]
         );
         assert_eq!(a.last_touched(), &[0], "survivor's component re-solved");
-    }
-
-    #[test]
-    fn structure_reuse_matches_rebuild_bit_for_bit() {
-        let t = topo(6, 10.0);
-        let mut a = MaxMinAllocator::new();
-        let mut flows = vec![
-            demand(0, 1, 0, 1.3),
-            demand(0, 2, 1, 0.7),
-            demand(0, 3, 0, 2.0),
-            demand(4, 5, 0, 1.0),
-        ];
-        let mut rates = a.allocate(&t, &flows);
-
-        // A band rotation changes no endpoints: the reuse path must agree
-        // exactly with a from-scratch allocator seeing the same demands.
-        for f in &mut flows {
-            f.band = Band((f.band.0 + 1) % 3);
-        }
-        a.allocate_dirty_reuse(&t, &flows, &[HostId(0)], &mut rates, true);
-
-        let fresh = MaxMinAllocator::new().allocate(&t, &flows);
-        assert_eq!(rates[..3], fresh[..3], "reused structure diverged");
-        assert_eq!(a.last_touched(), &[0, 1, 2]);
-
-        // A stale hint with a different flow count is ignored, not trusted.
-        flows.push(demand(1, 4, 0, 1.0));
-        rates.push(0.0);
-        a.allocate_dirty_reuse(&t, &flows, &[HostId(1), HostId(4)], &mut rates, true);
-        let fresh = MaxMinAllocator::new().allocate(&t, &flows);
-        assert_eq!(rates, fresh, "count mismatch must force a rebuild");
     }
 
     /// One simulated event batch of churn: departures and arrivals applied
@@ -1453,15 +1389,13 @@ mod tests {
     }
 
     /// Apply one tick's ops to (flows, rates) in lockstep, returning the
-    /// dirty-host list (with duplicates, as the contract allows) and
-    /// whether membership changed.
+    /// dirty-host list (with duplicates, as the contract allows).
     fn apply_ops(
         ops: &[ChurnOp],
         flows: &mut Vec<FlowDemand>,
         rates: &mut Vec<f64>,
-    ) -> (Vec<HostId>, bool) {
+    ) -> Vec<HostId> {
         let mut dirty = Vec::new();
-        let mut structural = false;
         for op in ops {
             match *op {
                 ChurnOp::Remove(k) => {
@@ -1469,13 +1403,11 @@ mod tests {
                     let f = flows.remove(k);
                     rates.remove(k);
                     dirty.extend([f.src, f.dst]);
-                    structural = true;
                 }
                 ChurnOp::Add(f) => {
                     dirty.extend([f.src, f.dst]);
                     flows.push(f);
                     rates.push(0.0);
-                    structural = true;
                 }
                 ChurnOp::Rotate(k) => {
                     let k = k.min(flows.len() - 1);
@@ -1484,18 +1416,16 @@ mod tests {
                 }
             }
         }
-        (dirty, structural)
+        dirty
     }
 
     #[test]
     fn same_tick_departure_and_arrival_matches_full_solve() {
-        // The staleness class PR 1 and PR 6 each hit once: departures and
-        // arrivals in the same event batch split/reshape components while
-        // possibly leaving the flow *count* unchanged (so the reuse-hint
-        // length check alone cannot save a caller that wrongly passes
-        // `structure_unchanged = true`). The incremental path, driven the
-        // way the fluid engine drives it, must match a from-scratch solve
-        // bit for bit at every step.
+        // Departures and arrivals in the same event batch split and
+        // reshape components while possibly leaving the flow *count*
+        // unchanged. The incremental path, driven the way the fluid engine
+        // drives it, must match a from-scratch solve bit for bit at every
+        // step.
         let t = crate::topology::TopologyBuilder::leaf_spine(3, 4, 2.0)
             .link(Bandwidth::from_gbps(10.0))
             .build();
@@ -1505,8 +1435,8 @@ mod tests {
             let mut flows: Vec<FlowDemand> = Vec::new();
             let mut rates: Vec<f64> = Vec::new();
             for (step, ops) in churn_schedule(seed, hosts as u32, 40, 8).iter().enumerate() {
-                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
-                a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
+                let dirty = apply_ops(ops, &mut flows, &mut rates);
+                a.allocate_dirty_into(&t, &flows, &dirty, &mut rates);
                 let fresh = MaxMinAllocator::new().allocate(&t, &flows);
                 assert_eq!(
                     rates, fresh,
@@ -1536,7 +1466,7 @@ mod tests {
         let before = a.stats();
         let mut survivors = vec![flows[1], flows[2]];
         let mut kept = vec![rates[1], rates[2]];
-        a.allocate_dirty_reuse(&t, &survivors, &[HostId(0), HostId(4)], &mut kept, false);
+        a.allocate_dirty_into(&t, &survivors, &[HostId(0), HostId(4)], &mut kept);
         assert!(
             a.last_touched().is_empty(),
             "touched {:?}",
@@ -1552,9 +1482,9 @@ mod tests {
         survivors = vec![demand(1, 3, 0, 1.0), demand(2, 0, 0, 1.0)];
         kept = vec![0.0; 2];
         let all: Vec<HostId> = (0..4).map(HostId).collect();
-        a.allocate_dirty_reuse(&t, &survivors, &all, &mut kept, false);
+        a.allocate_dirty_into(&t, &survivors, &all, &mut kept);
         assert_eq!(a.last_touched(), &[0, 1]);
-        a.allocate_dirty_reuse(&t, &survivors, &[HostId(3)], &mut kept, true);
+        a.allocate_dirty_into(&t, &survivors, &[HostId(3)], &mut kept);
         assert_eq!(
             a.last_touched(),
             &[0],
@@ -1582,8 +1512,8 @@ mod tests {
             let mut flows: Vec<FlowDemand> = Vec::new();
             let mut rates: Vec<f64> = Vec::new();
             for ops in churn_schedule(round as u64, hosts as u32, 20, 6) {
-                let (dirty, structural) = apply_ops(&ops, &mut flows, &mut rates);
-                a.allocate_dirty_reuse(t, &flows, &dirty, &mut rates, !structural);
+                let dirty = apply_ops(&ops, &mut flows, &mut rates);
+                a.allocate_dirty_into(t, &flows, &dirty, &mut rates);
                 let fresh = MaxMinAllocator::new().allocate(t, &flows);
                 assert_eq!(
                     rates,

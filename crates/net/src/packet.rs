@@ -110,19 +110,6 @@ impl PacketRun {
             .map(|o| o.finished)
             .max()
     }
-
-    /// Spread (max - min) of finish times within `tag` — the straggler
-    /// indicator for one job's fan-out.
-    pub fn finish_spread_of_tag(&self, tag: u64) -> Option<SimDuration> {
-        let times: Vec<SimTime> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.tag == tag)
-            .map(|o| o.finished)
-            .collect();
-        let (min, max) = (times.iter().min()?, times.iter().max()?);
-        Some(max.since(*min))
-    }
 }
 
 /// The single-link chunk simulator.

@@ -26,6 +26,12 @@ if [[ "${1:-}" != "fast" ]]; then
     echo "==> cargo doc --no-deps --workspace (-D warnings)"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+    # The benchmark package sits outside the workspace, so the workspace
+    # test run never compiles it; build and test it here so a change to a
+    # public item it reads fails now rather than at benchmark time.
+    echo "==> cargo test --release (perfbench)"
+    cargo test --release --manifest-path perfbench/Cargo.toml
+
     # Single-iteration smoke run of every criterion bench so the bench
     # harness can't rot; numbers are meaningless, only compile+run matter.
     echo "==> bench smoke (TL_BENCH_SMOKE=1)"
