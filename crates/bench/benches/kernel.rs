@@ -301,7 +301,7 @@ fn bench_packet_net(c: &mut Criterion) {
                 net.start_flow(SimTime::ZERO, f);
             }
             let mut done = 0;
-            while let Some(t) = net.next_event_time() {
+            while let Some(t) = net.next_event_time(None) {
                 done += net.take_completions(t).len();
             }
             black_box(done)

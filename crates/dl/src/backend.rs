@@ -8,9 +8,10 @@
 //! * [`FluidNet`] — the rate-based weighted max-min model the paper's
 //!   experiments use (fast; one event per flow completion);
 //! * [`PacketNet`] — a chunk-level store-and-forward model with TCP-like
-//!   windows (slow; one event per chunk hop), used as an *oracle* to
-//!   differentially validate the fluid model end to end (see
-//!   `repro --experiment validate`).
+//!   windows (slow; internal events per chunk hop, though the engine only
+//!   wakes it at flow completions), used as an *oracle* to differentially
+//!   validate the fluid model end to end (see `repro --experiment
+//!   validate`).
 //!
 //! The engine is generic over the backend (monomorphized), so the fluid
 //! fast path pays nothing for the indirection.
@@ -70,7 +71,17 @@ pub trait NetBackend {
         ingress: Bandwidth,
     );
     /// When the network next needs the driver's attention, if ever.
-    fn next_event_time(&mut self) -> Option<SimTime>;
+    ///
+    /// `horizon` is the earliest instant at which anything outside the
+    /// network can happen (`None`: unbounded). The backend may process its
+    /// own internal events strictly before it; the answer is then a flow
+    /// completion before the horizon, or a time at or after it. The caller
+    /// must wake at the answer before touching the network again.
+    fn next_event_time(&mut self, horizon: Option<SimTime>) -> Option<SimTime>;
+    /// Whether the last `next_event_time` call processed internal events
+    /// (see [`PacketNet::ran_ahead`]); the caller then schedules the wake-up
+    /// after everything else it schedules at the current instant.
+    fn ran_ahead(&self) -> bool;
     /// Abort all flows matching `pred`; returns `(id, tag)` per abort.
     fn abort_flows_where(
         &mut self,
@@ -124,8 +135,13 @@ impl NetBackend for FluidNet {
     ) {
         FluidNet::set_host_capacity(self, now, host, egress, ingress);
     }
-    fn next_event_time(&mut self) -> Option<SimTime> {
+    /// The horizon is ignored: the fluid engine's next event is already a
+    /// flow completion.
+    fn next_event_time(&mut self, _horizon: Option<SimTime>) -> Option<SimTime> {
         FluidNet::next_event_time(self)
+    }
+    fn ran_ahead(&self) -> bool {
+        false
     }
     fn abort_flows_where(
         &mut self,
@@ -185,8 +201,11 @@ impl NetBackend for PacketNet {
     ) {
         PacketNet::set_host_capacity(self, now, host, egress, ingress);
     }
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        PacketNet::next_event_time(self)
+    fn next_event_time(&mut self, horizon: Option<SimTime>) -> Option<SimTime> {
+        PacketNet::next_event_time(self, horizon)
+    }
+    fn ran_ahead(&self) -> bool {
+        PacketNet::ran_ahead(self)
     }
     fn abort_flows_where(
         &mut self,

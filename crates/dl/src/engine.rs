@@ -21,7 +21,7 @@ use crate::pattern::{TopologySpec, TrafficPattern};
 use rand::rngs::SmallRng;
 use simcore::{
     EventHandle, EventQueue, InvariantChecker, InvariantViolation, Profiler, RngFactory, SampleSet,
-    SimTime, UnitLogNormal,
+    SimDuration, SimTime, UnitLogNormal,
 };
 use std::collections::HashMap;
 use tl_telemetry::{MetricKind, SimEvent, Telemetry, TelemetryConfig, TelemetryOutput};
@@ -142,14 +142,88 @@ impl Default for SimConfig {
     }
 }
 
-/// A structural inconsistency detected while the engine ran: a substrate
-/// reported a completion for work the engine has no record of. This is
-/// unreachable through the public API (contexts are registered at start
-/// and removed exactly once), but [`Simulation::try_run`] surfaces it as
-/// a typed error instead of a panic so harnesses can report *which*
-/// flow or task lost its context.
+/// A job the engine does not model under the run's configuration. Found
+/// by [`SimConfig::check_jobs`] before any event fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// Faults are injected, but the job uses a pattern other than the PS
+    /// star.
+    FaultsNeedPsStar {
+        /// The offending job.
+        job: JobId,
+        /// Its traffic pattern.
+        pattern: TrafficPattern,
+    },
+    /// An asynchronous job has a sharded PS.
+    AsyncSharded {
+        /// The offending job.
+        job: JobId,
+        /// Its PS shard count.
+        shards: usize,
+    },
+    /// A job has more PS shards than the engine tracks (64).
+    TooManyShards {
+        /// The offending job.
+        job: JobId,
+        /// Its PS shard count.
+        shards: usize,
+    },
+    /// An asynchronous job uses a pattern other than the PS star.
+    AsyncNeedsPsStar {
+        /// The offending job.
+        job: JobId,
+        /// Its traffic pattern.
+        pattern: TrafficPattern,
+    },
+    /// A job on a pattern other than the PS star has a sharded PS.
+    ShardedNeedsPsStar {
+        /// The offending job.
+        job: JobId,
+        /// Its traffic pattern.
+        pattern: TrafficPattern,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::FaultsNeedPsStar { job, pattern } => write!(
+                f,
+                "{job}: fault injection is only modelled for the ps-star pattern, not {pattern}"
+            ),
+            ConfigError::AsyncSharded { job, shards } => write!(
+                f,
+                "{job}: sharded PS is only modelled for synchronous training ({shards} shards)"
+            ),
+            ConfigError::TooManyShards { job, shards } => {
+                write!(f, "{job}: {shards} PS shards, more than the 64 modelled")
+            }
+            ConfigError::AsyncNeedsPsStar { job, pattern } => write!(
+                f,
+                "{job}: the {pattern} pattern is only modelled for synchronous training"
+            ),
+            ConfigError::ShardedNeedsPsStar { job, pattern } => {
+                write!(f, "{job}: the {pattern} pattern does not use a sharded PS")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Why [`Simulation::try_run`] returned no output.
+///
+/// [`SimError::Config`] is a configuration the engine does not model,
+/// found before the run. The other variants are structural
+/// inconsistencies found while it ran: a substrate reported a completion
+/// for work the engine has no record of. Those are unreachable through the
+/// public API (contexts are registered at start and removed exactly once),
+/// but are typed so harnesses can report *which* flow or task lost its
+/// context.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimError {
+    /// The configuration asks for something the engine does not model.
+    Config(ConfigError),
     /// The network engine completed a flow with no registered context.
     MissingFlowContext {
         /// The orphaned flow.
@@ -169,6 +243,7 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
+            SimError::Config(e) => write!(f, "unsupported configuration: {e}"),
             SimError::MissingFlowContext { flow, at } => write!(
                 f,
                 "completed flow {flow:?} at {at:?} has no context (engine bookkeeping bug)"
@@ -276,6 +351,36 @@ impl SimConfig {
             specs[h as usize] = spec;
         }
         specs
+    }
+
+    /// Check that the engine models every job of `setups` under this
+    /// configuration. [`Simulation::try_run`] runs this check before any
+    /// event fires; harnesses call it to reject a sweep before its cells.
+    pub fn check_jobs(&self, setups: &[JobSetup]) -> Result<(), ConfigError> {
+        for s in setups {
+            let job = s.spec.id;
+            let shards = s.placement.ps.count() as usize;
+            let is_async = matches!(s.spec.mode, TrainingMode::Asynchronous);
+            if is_async && shards != 1 {
+                return Err(ConfigError::AsyncSharded { job, shards });
+            }
+            if shards > 64 {
+                return Err(ConfigError::TooManyShards { job, shards });
+            }
+            let pattern = s.spec.pattern.unwrap_or(self.pattern);
+            if pattern != TrafficPattern::PsStar {
+                if is_async {
+                    return Err(ConfigError::AsyncNeedsPsStar { job, pattern });
+                }
+                if shards != 1 {
+                    return Err(ConfigError::ShardedNeedsPsStar { job, pattern });
+                }
+                if !self.faults.is_empty() {
+                    return Err(ConfigError::FaultsNeedPsStar { job, pattern });
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -707,10 +812,12 @@ impl<'p> Simulation<'p> {
         out
     }
 
-    /// Like [`run`](Simulation::run), but surfaces engine bookkeeping
-    /// inconsistencies as a typed [`SimError`] instead of panicking.
-    /// Configuration errors (no jobs, bad placement, invalid fault plan)
-    /// still panic: those are caller bugs, not runtime conditions.
+    /// Like [`run`](Simulation::run), but returns a typed [`SimError`]
+    /// instead of panicking for a job the engine does not model
+    /// ([`SimConfig::check_jobs`], checked before the run) and for engine
+    /// bookkeeping inconsistencies. Other configuration errors (no jobs,
+    /// bad placement, invalid fault plan) still panic: those are caller
+    /// bugs, not runtime conditions.
     pub fn try_run(self) -> Result<SimOutput, SimError> {
         let Simulation {
             cfg,
@@ -731,6 +838,7 @@ fn run_inner(
     policy: &mut dyn PriorityPolicy,
 ) -> Result<SimOutput, SimError> {
     assert!(!setups.is_empty(), "no jobs to simulate");
+    cfg.check_jobs(&setups).map_err(SimError::Config)?;
     let num_hosts = setups
         .iter()
         .flat_map(|s| {
@@ -812,32 +920,13 @@ fn run_with_net<N: NetBackend>(
         .map(|(i, s)| {
             let workers = s.spec.num_workers;
             let shards = s.placement.ps.count() as usize;
-            if matches!(s.spec.mode, TrainingMode::Asynchronous) {
-                assert_eq!(
-                    shards, 1,
-                    "{}: sharded PS is only modelled for synchronous training",
-                    s.spec.id
-                );
-            }
-            assert!(shards <= 64, "{}: more than 64 PS shards", s.spec.id);
             let pattern = s.spec.pattern.unwrap_or(cfg.pattern);
-            if pattern != TrafficPattern::PsStar {
-                assert!(
-                    matches!(s.spec.mode, TrainingMode::Synchronous),
-                    "{}: the {pattern} pattern is only modelled for synchronous training",
-                    s.spec.id
-                );
-                assert_eq!(
-                    shards, 1,
-                    "{}: the {pattern} pattern does not use a sharded PS",
-                    s.spec.id
-                );
-                assert!(
-                    timeline.is_empty(),
-                    "{}: fault injection is only modelled for the ps-star pattern",
-                    s.spec.id
-                );
-            }
+            // `check_jobs` rejected every other shape before the run.
+            let sync = matches!(s.spec.mode, TrainingMode::Synchronous);
+            debug_assert!(shards <= 64 && (sync || shards == 1));
+            debug_assert!(
+                pattern == TrafficPattern::PsStar || (sync && shards == 1 && timeline.is_empty())
+            );
             // Rack groups for the hierarchical pattern: workers bucketed
             // by the rack their host sits in (one group on a single
             // switch), each led by its lowest-indexed worker.
@@ -2486,22 +2575,35 @@ impl<'a, N: NetBackend> Sim<'a, N> {
     // ---- wake-up plumbing -------------------------------------------------
 
     fn rearm(&mut self, now: SimTime) {
-        let want_net = self.net.next_event_time();
-        Self::rearm_one(
-            &mut self.queue,
-            &mut self.net_wake,
-            want_net,
-            Ev::NetWake,
-            now,
-        );
+        // No engine event can pop before `horizon`: every one is queued or
+        // is the CPU's next wake, and the run ends past `max_sim_time`. So
+        // nothing can observe or change the net before it, and the net may
+        // run ahead to it (see DESIGN.md §7).
         let want_cpu = self.cpu.next_event_time();
-        Self::rearm_one(
-            &mut self.queue,
-            &mut self.cpu_wake,
-            want_cpu,
-            Ev::CpuWake,
-            now,
-        );
+        let one_ns = SimDuration::from_nanos(1);
+        let end = self.cfg.max_sim_time.saturating_add(one_ns);
+        let horizon = [self.queue.peek_time(), want_cpu, Some(end)]
+            .into_iter()
+            .flatten()
+            .min();
+        let want_net = self.net.next_event_time(horizon);
+        // Tied wake-ups pop in scheduling order, which must match an engine
+        // that wakes the net at every internal event. That engine re-arms
+        // the net first, keeping a live handle whose time is unchanged; but
+        // if the net ran ahead, it would have asked for this wake at the
+        // last internal event it fired, after everything scheduled now. So
+        // a net that ran ahead is re-armed last, with a fresh handle.
+        let (queue, net_wake, cpu_wake) = (&mut self.queue, &mut self.net_wake, &mut self.cpu_wake);
+        if self.net.ran_ahead() {
+            if let Some((h, _)) = net_wake.take() {
+                queue.cancel(h);
+            }
+            Self::rearm_one(queue, cpu_wake, want_cpu, Ev::CpuWake, now);
+            Self::rearm_one(queue, net_wake, want_net, Ev::NetWake, now);
+        } else {
+            Self::rearm_one(queue, net_wake, want_net, Ev::NetWake, now);
+            Self::rearm_one(queue, cpu_wake, want_cpu, Ev::CpuWake, now);
+        }
     }
 
     fn rearm_one(
@@ -2573,6 +2675,59 @@ mod tests {
             },
             ..Default::default()
         }
+    }
+
+    /// Regression for the packet backend's run-ahead. Two ring jobs share
+    /// host 2; at 89,757,325 ns a ring-shift flow completes at the same
+    /// nanosecond as a compute step, so a `NetWake` ties with a `CpuWake`
+    /// and both handlers start flows on host 2's egress. The order they
+    /// pop in decides the flows' round-robin order. The pinned JCTs are
+    /// those of an engine that woke the net at every chunk event; popping
+    /// the `NetWake` first swaps the two jobs' JCTs.
+    #[test]
+    fn packet_flow_completion_tied_with_cpu_completion() {
+        let setups: Vec<JobSetup> = (0..2u32)
+            .map(|id| JobSetup {
+                spec: JobSpec {
+                    id: JobId(id),
+                    model: ModelSpec::synthetic_mb(8),
+                    num_workers: 2,
+                    local_batch_size: 4,
+                    target_global_steps: 4,
+                    mode: TrainingMode::Synchronous,
+                    launch_time: SimTime::from_nanos(u64::from(id) * 49_757_324),
+                    ps_port: 2222 + id as u16,
+                    pattern: Some(TrafficPattern::Ring),
+                },
+                placement: JobPlacement::new(HostId(0), vec![HostId(id + 1), HostId(id + 2)]),
+            })
+            .collect();
+        let mut cfg = fast_cfg();
+        cfg.compute.noise_sigma = 0.0;
+        cfg.net_weight_sigma = 0.0;
+        let mut policy = FifoPolicy;
+        let out = Simulation::new(cfg)
+            .backend(NetBackendKind::Packet)
+            .jobs(setups)
+            .policy_ref(&mut policy)
+            .telemetry(TelemetryConfig::events())
+            .run();
+        let at = |kind: &str| -> Vec<u64> {
+            out.telemetry
+                .events_of_kind(kind)
+                .iter()
+                .map(|e| e.at.as_nanos())
+                .collect()
+        };
+        let tie = 89_757_325;
+        assert!(at("flow_finish").contains(&tie) && at("task_finish").contains(&tie));
+        let jct_ns: Vec<u64> = out
+            .jobs
+            .iter()
+            .map(|j| j.completion.expect("job completes").since(j.launch))
+            .map(SimDuration::as_nanos)
+            .collect();
+        assert_eq!(jct_ns, [96_209_778, 96_207_935]);
     }
 
     #[test]
@@ -3255,11 +3410,32 @@ mod shard_tests {
     fn async_sharding_rejected() {
         let mut setups = sharded_setup(vec![HostId(1)], 2);
         setups[0].spec.mode = TrainingMode::Asynchronous;
+        let err = ConfigError::AsyncSharded {
+            job: JobId(0),
+            shards: 2,
+        };
+        assert_eq!(shard_cfg().check_jobs(&setups), Err(err));
         let mut policy = FifoPolicy;
         let _ = Simulation::new(shard_cfg())
             .jobs(setups)
             .policy_ref(&mut policy)
             .run();
+    }
+
+    #[test]
+    fn too_many_shards_rejected_before_the_run() {
+        let setups = sharded_setup((5..70).map(HostId).collect(), 2);
+        let mut policy = FifoPolicy;
+        let err = Simulation::new(shard_cfg())
+            .jobs(setups)
+            .policy_ref(&mut policy)
+            .try_run()
+            .unwrap_err();
+        let want = ConfigError::TooManyShards {
+            job: JobId(0),
+            shards: 66,
+        };
+        assert_eq!(err, SimError::Config(want));
     }
 }
 
@@ -3863,5 +4039,28 @@ mod pattern_tests {
             .jobs(setups)
             .pattern(TrafficPattern::Ring)
             .run();
+    }
+
+    #[test]
+    fn non_star_shapes_are_typed_config_errors() {
+        let (job, pattern) = (JobId(0), TrafficPattern::Ring);
+        let ring = SimConfig {
+            pattern,
+            ..fast_cfg()
+        };
+        let mut faulted = ring.clone();
+        faulted.faults = FaultPlan::seeded(1, 1.0, 3, 1, 1.0);
+        let healthy = one_job(3, vec![HostId(1), HostId(2)]);
+        assert_eq!(ring.check_jobs(&healthy), Ok(()));
+        let err = faulted.check_jobs(&healthy);
+        assert_eq!(err, Err(ConfigError::FaultsNeedPsStar { job, pattern }));
+        let mut setups = healthy.clone();
+        setups[0].spec.mode = TrainingMode::Asynchronous;
+        let err = ring.check_jobs(&setups);
+        assert_eq!(err, Err(ConfigError::AsyncNeedsPsStar { job, pattern }));
+        let mut setups = healthy;
+        setups[0].placement = setups[0].placement.clone().with_extra_ps(vec![HostId(3)]);
+        let err = ring.check_jobs(&setups);
+        assert_eq!(err, Err(ConfigError::ShardedNeedsPsStar { job, pattern }));
     }
 }

@@ -30,7 +30,7 @@ pub mod pattern;
 
 pub use backend::{NetBackend, NetBackendKind};
 pub use compute::ComputeModel;
-pub use engine::{JobResult, JobSetup, SimConfig, SimError, SimOutput, Simulation};
+pub use engine::{ConfigError, JobResult, JobSetup, SimConfig, SimError, SimOutput, Simulation};
 pub use tl_faults::{BarrierLossPolicy, FaultPlan, FaultSpec, RetryConfig};
 pub use job::{JobId, JobSpec, TrainingMode};
 pub use metrics::BarrierTracker;

@@ -100,6 +100,12 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
+    /// The most hosts a leaf–spine spec may have: one million, 100× the
+    /// 10,000-host XL cell. Every host costs per-host state in both network
+    /// engines and the CPU engine, so a larger fabric would fail on
+    /// allocation rather than run; [`FromStr`] rejects it instead.
+    pub const MAX_HOSTS: u32 = 1_000_000;
+
     /// Build the topology for a cluster needing at least `min_hosts`
     /// hosts with `link`-speed NICs and an optional legacy aggregate core
     /// cap. A leaf–spine spec must be large enough for the placement;
@@ -175,11 +181,10 @@ impl FromStr for TopologySpec {
         if racks == 0 || hosts_per_rack == 0 {
             return Err(format!("leaf-spine shape '{grid}' must be nonzero"));
         }
-        // Host ids are u32, so the host count must fit one.
-        if racks.checked_mul(hosts_per_rack).is_none() {
+        if u64::from(racks) * u64::from(hosts_per_rack) > u64::from(Self::MAX_HOSTS) {
             return Err(format!(
                 "leaf-spine shape '{grid}' has more than {} hosts",
-                u32::MAX
+                Self::MAX_HOSTS
             ));
         }
         // `is_finite` rejects NaN as well as infinity.
@@ -236,15 +241,27 @@ mod tests {
     #[test]
     fn topology_spec_rejects_unbuildable_shapes() {
         // Each parses as numbers but cannot be built: an infinite
-        // oversubscription, and host counts past the u32 `HostId` range.
+        // oversubscription, host counts past the u32 `HostId` range, and
+        // one that fits a u32 but not the host cap.
         for bad in [
             "leaf-spine:3x7@inf",
             "leaf-spine:3x7@NaN",
             "leaf-spine:100000x100000",
             "leaf-spine:65536x65536@2",
+            "leaf-spine:65535x65537",
+            "leaf-spine:1000x1001",
         ] {
             assert!(bad.parse::<TopologySpec>().is_err(), "{bad} parsed");
         }
+        // The cap itself is accepted.
+        assert_eq!(
+            "leaf-spine:1000x1000".parse::<TopologySpec>(),
+            Ok(TopologySpec::LeafSpine {
+                racks: 1000,
+                hosts_per_rack: 1000,
+                oversub: 1.0,
+            })
+        );
     }
 
     #[test]

@@ -32,10 +32,11 @@
 //! trace and exits (0 valid, 2 invalid).
 //!
 //! Exit codes: `0` everything completed; `2` usage error (unknown
-//! argument/experiment, bad value, invalid trace); `3` differential
-//! validation diverged; `4` one or more cells failed or were skipped —
-//! reported per cell after the run drains; `130` interrupted (SIGINT),
-//! after flushing in-flight ledger entries.
+//! argument/experiment, bad value, a configuration the engine does not
+//! model, invalid trace); `3` differential validation diverged; `4` one
+//! or more cells failed or were skipped — reported per cell after the run
+//! drains; `130` interrupted (SIGINT), after flushing in-flight ledger
+//! entries.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -342,6 +343,13 @@ fn main() {
     install_sigint_handler();
     let args = parse_args();
     let cfg = &args.cfg;
+    // A configuration the engine does not model is a usage error, caught
+    // before any cell runs rather than as a panic in every cell.
+    if args.experiment == "faults" {
+        if let Err(e) = faults::check(cfg) {
+            usage_error(&e.to_string());
+        }
+    }
     let wanted = |name: &str| args.experiment == "all" || args.experiment == name;
     let mut ran = 0;
     let t0 = std::time::Instant::now();

@@ -14,7 +14,7 @@ use crate::runner::PolicyKind;
 use serde::{Deserialize, Serialize};
 use simcore::SampleSet;
 use tl_cluster::{table1_placement, Placement, Table1Index};
-use tl_dl::{BarrierLossPolicy, FaultPlan, SimOutput, Simulation};
+use tl_dl::{BarrierLossPolicy, ConfigError, FaultPlan, SimOutput, Simulation};
 use tl_telemetry::TelemetryConfig;
 use tl_workloads::GridSearchConfig;
 
@@ -68,6 +68,17 @@ fn run_one(
             metrics_interval: None,
         })
         .run()
+}
+
+/// Check that the engine models the sweep's faulted cells under `cfg`
+/// (fault injection needs the PS-star pattern), so a harness can reject
+/// the sweep before any cell runs.
+pub fn check(cfg: &ExperimentConfig) -> Result<(), ConfigError> {
+    let placement = table1_placement(Table1Index(1), 21, 21);
+    let mut sim_cfg = cfg.sim_config();
+    // Any nonempty plan stands for the faulted cells' seeded ones.
+    sim_cfg.faults = FaultPlan::seeded(cfg.seed, 1.0, 21, 21, 1.0);
+    sim_cfg.check_jobs(&GridSearchConfig::paper_scaled(cfg.iterations).build(&placement))
 }
 
 fn loss_label(loss: BarrierLossPolicy) -> &'static str {

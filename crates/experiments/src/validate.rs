@@ -644,6 +644,24 @@ impl ValidateResult {
 mod tests {
     use super::*;
 
+    /// Pins the engine events of two healthy packet-backend rows, one per
+    /// topology, so a change that re-inflates the net's wake-ups fails
+    /// `cargo test`. Waking the net at every chunk event, these rows took
+    /// 1,811,752 and 6,336,554 events. A change that moves the counts on
+    /// purpose updates them and says why.
+    #[test]
+    fn packet_backend_event_counts_are_pinned() {
+        let ecfg = ExperimentConfig::default();
+        let all = scenarios(&ecfg);
+        for (id, want) in [(5, 13_682), (29, 14_858)] {
+            let sc = &all[id];
+            assert_eq!((sc.id, sc.fault_intensity), (id, 0.0));
+            let out = run_backend(&ecfg, sc, FaultPlan::default(), NetBackendKind::Packet)
+                .expect("packet run");
+            assert_eq!(out.events, want, "scenario {id}");
+        }
+    }
+
     #[test]
     fn matrix_covers_every_dimension() {
         let cfg = ExperimentConfig::quick();

@@ -38,13 +38,34 @@ fn usage_errors_exit_2() {
 
     // Topologies that parse as numbers but cannot be built are rejected
     // at the command line, not by a panic or an abort mid-run.
-    for topology in ["leaf-spine:3x7@inf", "leaf-spine:100000x100000"] {
+    for topology in [
+        "leaf-spine:3x7@inf",
+        "leaf-spine:100000x100000",
+        "leaf-spine:65535x65537",
+    ] {
         let out = repro()
             .args(["--experiment", "perf", "--iterations", "1", "--topology", topology])
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(2), "--topology {topology}");
     }
+}
+
+#[test]
+fn unmodelled_config_exits_2_before_any_cell() {
+    // Faults are only modelled for the PS star: the whole invocation is a
+    // usage error, rejected before the sweep writes its ledger.
+    let dir = temp_dir("unmodelled");
+    let out = repro()
+        .args(["--experiment", "faults", "--quick", "--pattern", "ring"])
+        .args(["--json", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("ps-star pattern"), "{stderr}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no cell ran");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

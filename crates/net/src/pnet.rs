@@ -39,14 +39,17 @@
 //!   every tier, so in-fabric contention serializes chunks exactly where
 //!   the fluid model water-fills link capacity.
 //!
-//! The engine is driven exactly like the fluid one: after any mutation the
-//! caller asks [`PacketNet::next_event_time`] and schedules a wake-up; on
-//! wake-up it calls [`PacketNet::take_completions`]. Every chunk is served
-//! through its own queue events (one per serial server it crosses), and
+//! The engine is driven like the fluid one: after any mutation the caller
+//! asks [`PacketNet::next_event_time`] and schedules a wake-up; on wake-up
+//! it calls [`PacketNet::take_completions`]. Every chunk is served through
+//! its own internal queue events (one per serial server it crosses), and
 //! chunk events that tie at one instant fire in the queue's insertion
-//! order, so a run is deterministic. Those events are far denser than fluid
-//! completion events, so a run on this backend costs more wall time — it
-//! is an oracle, not a replacement.
+//! order, so a run is deterministic. The caller passes the next instant at
+//! which anything else can happen (its *horizon*); `next_event_time` runs
+//! the chunk events before it and returns only at a flow completion or at
+//! the horizon, so the caller wakes per completion, not per chunk. The
+//! chunk events still cost wall time — this backend is an oracle, not a
+//! replacement.
 
 use crate::topology::Topology;
 use crate::types::{Band, Bandwidth, EgressDiscipline, FlowId, HostId, LinkId};
@@ -125,6 +128,9 @@ pub struct PacketNet {
     flows: Vec<PFlow>,
     /// Alive flow indices in creation order (deterministic iteration).
     active: Vec<u32>,
+    /// Per host: its alive non-loopback flows in creation order — the
+    /// candidates its egress server picks from.
+    senders: Vec<Vec<u32>>,
     queue: EventQueue<PEv>,
     /// Per-host egress server: the chunk in service, if any.
     egress_busy: Vec<Option<Service>>,
@@ -142,6 +148,8 @@ pub struct PacketNet {
     /// Completions accumulated since the last `take_completions`.
     done: Vec<CompletedFlow>,
     last_advance: SimTime,
+    /// Whether the last `next_event_time` call fired internal events.
+    ran_ahead: bool,
     egress_bytes: Vec<f64>,
     ingress_bytes: Vec<f64>,
     /// Cumulative bytes forwarded per fabric link.
@@ -184,6 +192,7 @@ impl PacketNet {
             discipline,
             flows: Vec::new(),
             active: Vec::new(),
+            senders: vec![Vec::new(); n],
             queue: EventQueue::new(),
             egress_busy: vec![None; n],
             egress_cursor: vec![0; n],
@@ -194,6 +203,7 @@ impl PacketNet {
             pace_wake: vec![None; n],
             done: Vec::new(),
             last_advance: SimTime::ZERO,
+            ran_ahead: false,
             egress_bytes: vec![0.0; n],
             ingress_bytes: vec![0.0; n],
             fabric_bytes: vec![0.0; nf],
@@ -305,6 +315,7 @@ impl PacketNet {
             self.queue
                 .schedule(now + SimDuration::from_secs_f64(secs), PEv::LoopbackDone(idx));
         } else {
+            self.senders[spec.src.0 as usize].push(idx);
             self.kick_egress(now, spec.src.0);
         }
         id
@@ -386,6 +397,9 @@ impl PacketNet {
             let flows = &mut self.flows;
             self.active
                 .retain(|&idx| flows[idx as usize].status != Status::Aborted);
+            for list in &mut self.senders {
+                list.retain(|&idx| flows[idx as usize].status != Status::Aborted);
+            }
             // Drop queued (not-in-service) chunks of dead flows. The chunk
             // currently in service at each busy server completes on the
             // wire and is discarded on arrival.
@@ -438,12 +452,74 @@ impl PacketNet {
 
     /// Process all internal chunk events up to `now`.
     pub fn advance(&mut self, now: SimTime) {
+        let service_timer = self.profiler.start();
+        self.process_through(now);
+        self.profiler.stop("packet.service", service_timer);
+    }
+
+    /// Run ahead to the next instant the caller must see, and return it.
+    ///
+    /// Processes internal chunk events strictly before `horizon`, one whole
+    /// instant at a time, and stops after the first instant at which a flow
+    /// completes, returning that instant. Otherwise returns the next
+    /// internal event time, which is then at or after `horizon`; an event
+    /// tied with the horizon is left for the wake-up. `None` means no
+    /// horizon: run to the next completion. While completions wait to be
+    /// drained it does not run ahead and returns the instant it reached.
+    ///
+    /// The caller must not advance the engine, or change it, before the
+    /// returned instant: it only runs ahead because nothing else can happen
+    /// before the horizon.
+    pub fn next_event_time(&mut self, horizon: Option<SimTime>) -> Option<SimTime> {
+        self.ran_ahead = false;
+        if !self.done.is_empty() {
+            return Some(self.last_advance);
+        }
+        let service_timer = self.profiler.start();
+        let next = loop {
+            let Some(t) = self.queue.peek_time() else {
+                break None;
+            };
+            if horizon.is_some_and(|h| t >= h) {
+                break Some(t);
+            }
+            self.process_through(t);
+            self.ran_ahead = true;
+            if !self.done.is_empty() {
+                break Some(t);
+            }
+        };
+        self.profiler.stop("packet.service", service_timer);
+        next
+    }
+
+    /// Whether the last [`next_event_time`](Self::next_event_time) call
+    /// fired internal events. A caller that woke at every internal event
+    /// would then have asked for this wake-up at the last of them, after
+    /// everything it schedules at its current instant; a caller that orders
+    /// tied wake-ups by scheduling sequence must schedule it last to keep
+    /// that order.
+    pub fn ran_ahead(&self) -> bool {
+        self.ran_ahead
+    }
+
+    /// Advance to `now` and drain all flows that finished by then, in
+    /// completion order.
+    pub fn take_completions(&mut self, now: SimTime) -> Vec<CompletedFlow> {
+        self.advance(now);
+        std::mem::take(&mut self.done)
+    }
+
+    // ---- internal event handlers ---------------------------------------
+
+    /// Fire every internal event at or before `now`, in time order and, at
+    /// one instant, in insertion order.
+    fn process_through(&mut self, now: SimTime) {
         assert!(
             now >= self.last_advance,
             "packet engine cannot move backwards: {now} < {}",
             self.last_advance
         );
-        let service_timer = self.profiler.start();
         while let Some(t) = self.queue.peek_time() {
             if t > now {
                 break;
@@ -465,24 +541,7 @@ impl PacketNet {
             }
         }
         self.last_advance = now;
-        self.profiler.stop("packet.service", service_timer);
     }
-
-    /// The time of the next internal chunk event, if any. Unlike the fluid
-    /// engine this is *not* necessarily a flow completion — the driver
-    /// wakes per chunk event and usually drains nothing.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Advance to `now` and drain all flows that finished by then, in
-    /// completion order.
-    pub fn take_completions(&mut self, now: SimTime) -> Vec<CompletedFlow> {
-        self.advance(now);
-        std::mem::take(&mut self.done)
-    }
-
-    // ---- internal event handlers ---------------------------------------
 
     fn on_egress_done(&mut self, now: SimTime, h: u32) {
         let svc = self.egress_busy[h as usize].take().expect("egress was busy");
@@ -585,6 +644,9 @@ impl PacketNet {
             bytes: f.spec.bytes,
         };
         self.active.retain(|&k| k != i);
+        if done.src != done.dst {
+            self.senders[done.src.0 as usize].retain(|&k| k != i);
+        }
         self.done.push(done);
         self.telemetry.emit_with(now, || SimEvent::FlowFinish {
             flow: done.id.0,
@@ -610,28 +672,37 @@ impl PacketNet {
         }
         // A flow is ready when it has bytes left AND window room AND its
         // pacing gate has opened — a window-stalled high-band flow releases
-        // the link to lower bands (work conservation, htb-style).
-        let mut candidates: Vec<u32> = Vec::new();
+        // the link to lower bands (work conservation, htb-style). Eligible
+        // flows are the ready ones in the best band (every ready flow under
+        // FIFO); round-robin picks the first eligible index strictly after
+        // the cursor, else wraps to the first. One pass tracks the best
+        // band with its first eligible flow and its first one after the
+        // cursor.
+        let priority = self.discipline == EgressDiscipline::Priority;
+        let cursor = self.egress_cursor[h as usize];
+        let mut pick: Option<(Band, u32, Option<u32>)> = None;
         let mut next_gate: Option<SimTime> = None;
-        for &idx in &self.active {
+        for &idx in &self.senders[h as usize] {
             let f = &self.flows[idx as usize];
-            if f.spec.src.0 != h
-                || f.spec.src == f.spec.dst
-                || f.to_send == 0
-                || f.in_flight >= self.window
-            {
+            if f.to_send == 0 || f.in_flight >= self.window {
                 continue;
             }
             if f.next_allowed > now {
-                next_gate = Some(match next_gate {
-                    Some(t) => t.min(f.next_allowed),
-                    None => f.next_allowed,
-                });
+                next_gate = Some(next_gate.map_or(f.next_allowed, |t| t.min(f.next_allowed)));
                 continue;
             }
-            candidates.push(idx);
+            let band = if priority { f.spec.band } else { Band(0) };
+            match &mut pick {
+                Some((best, _, after)) if band == *best => {
+                    if after.is_none() && idx > cursor {
+                        *after = Some(idx);
+                    }
+                }
+                Some((best, _, _)) if band > *best => {}
+                _ => pick = Some((band, idx, (idx > cursor).then_some(idx))),
+            }
         }
-        if candidates.is_empty() {
+        let Some((_, first, after)) = pick else {
             if let Some(t) = next_gate {
                 // Only paced flows are pending: wake when the earliest gate
                 // opens (dedup so repeated kicks don't pile up events).
@@ -641,29 +712,8 @@ impl PacketNet {
                 }
             }
             return;
-        }
-        let eligible: Vec<u32> = match self.discipline {
-            EgressDiscipline::FifoFair => candidates,
-            EgressDiscipline::Priority => {
-                let best = candidates
-                    .iter()
-                    .map(|&i| self.flows[i as usize].spec.band)
-                    .min()
-                    .expect("nonempty");
-                candidates
-                    .into_iter()
-                    .filter(|&i| self.flows[i as usize].spec.band == best)
-                    .collect()
-            }
         };
-        // Round-robin: first eligible index strictly after the cursor,
-        // else wrap to the first.
-        let cursor = self.egress_cursor[h as usize];
-        let i = eligible
-            .iter()
-            .copied()
-            .find(|&i| i > cursor)
-            .unwrap_or(eligible[0]);
+        let i = after.unwrap_or(first);
         self.egress_cursor[h as usize] = i;
         let f = &mut self.flows[i as usize];
         let chunk = self.chunk_bytes.min(f.to_send);
@@ -753,7 +803,7 @@ mod tests {
 
     fn drain(net: &mut PacketNet) -> Vec<CompletedFlow> {
         let mut done = Vec::new();
-        while let Some(t) = net.next_event_time() {
+        while let Some(t) = net.next_event_time(None) {
             done.extend(net.take_completions(t));
         }
         done
@@ -1023,6 +1073,95 @@ mod tests {
         done.sort_by_key(|d| d.id);
         let ns: Vec<u64> = done.iter().map(|d| d.finished.as_nanos()).collect();
         assert_eq!(ns, [3_958_676, 4_399_639, 4_081_152]);
+    }
+
+    const NS: SimDuration = SimDuration::from_nanos(1);
+
+    /// Ten chunks.
+    const TEN: f64 = 10.0 * DEFAULT_CHUNK_BYTES as f64;
+
+    #[test]
+    fn run_ahead_stops_before_the_horizon() {
+        let mut n = net(2);
+        n.start_flow(SimTime::ZERO, spec(0, 1, TEN, 0, 1));
+        // A horizon before the first chunk event: nothing fires, and the
+        // answer is that event.
+        let first = n.next_event_time(Some(SimTime::ZERO + NS)).unwrap();
+        assert!(!n.ran_ahead());
+        assert_eq!(n.egress_bytes()[0], 0.0);
+        // A horizon just past it fires that instant only, and answers the
+        // next chunk event, at or after the horizon.
+        let second = n.next_event_time(Some(first + NS)).unwrap();
+        assert!(n.ran_ahead());
+        assert!(second > first);
+        assert_eq!(n.egress_bytes()[0], DEFAULT_CHUNK_BYTES as f64);
+        assert_eq!(n.ingress_bytes()[1], 0.0);
+        assert_eq!(n.remaining_of(FlowId(0)), Some(TEN));
+    }
+
+    #[test]
+    fn run_ahead_leaves_an_event_tied_with_the_horizon_for_the_wake() {
+        let mut n = net(2);
+        n.start_flow(SimTime::ZERO, spec(0, 1, TEN, 0, 1));
+        let first = n.next_event_time(Some(SimTime::ZERO + NS)).unwrap();
+        assert_eq!(n.next_event_time(Some(first)), Some(first));
+        assert!(!n.ran_ahead());
+        assert_eq!(n.egress_bytes()[0], 0.0, "the tied event has not fired");
+        // The wake fires it.
+        assert!(n.take_completions(first).is_empty());
+        assert_eq!(n.egress_bytes()[0], DEFAULT_CHUNK_BYTES as f64);
+    }
+
+    #[test]
+    fn run_ahead_returns_at_the_first_completing_instant() {
+        let mut n = net(4);
+        n.start_flow(SimTime::ZERO, spec(0, 1, 2e6, 0, 1));
+        n.start_flow(SimTime::ZERO, spec(2, 3, 1e6, 0, 2));
+        // Far horizon: stop after the short flow's last chunk, not later.
+        let t = n.next_event_time(Some(SimTime::from_secs(1))).unwrap();
+        assert!(n.ran_ahead());
+        let remaining = n.remaining_of(FlowId(0)).unwrap();
+        assert!(remaining > 0.0 && remaining < 2e6);
+        // Undrained completions pin the answer: no further run-ahead.
+        assert_eq!(n.next_event_time(None), Some(t));
+        assert!(!n.ran_ahead());
+        assert_eq!(n.remaining_of(FlowId(0)), Some(remaining));
+        let done = n.take_completions(t);
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].tag, done[0].finished), (2, t));
+        assert_eq!(finish_secs(&drain(&mut n)).len(), 1);
+    }
+
+    /// Running ahead to completions (`None` horizon) and waking at every
+    /// chunk event (a horizon 1 ns past each wake) finish every flow at the
+    /// same nanosecond as `tied_chunk_events_fire_in_insertion_order`.
+    #[test]
+    fn run_ahead_matches_waking_at_every_chunk_event() {
+        let start = |n: &mut PacketNet| {
+            n.start_flow(SimTime::ZERO, spec(1, 3, 3_244_390.0, 0, 1));
+            n.start_flow(SimTime::ZERO, spec(2, 1, 3_642_497.0, 0, 2));
+            n.start_flow(SimTime::ZERO, spec(2, 3, 1_791_494.0, 0, 3));
+        };
+        let ns = |mut done: Vec<CompletedFlow>| -> Vec<u64> {
+            done.sort_by_key(|d| d.id);
+            done.iter().map(|d| d.finished.as_nanos()).collect()
+        };
+        let mut ahead = fifo_net(4, DEFAULT_WINDOW);
+        start(&mut ahead);
+        let mut stepped = fifo_net(4, DEFAULT_WINDOW);
+        start(&mut stepped);
+        let mut done = Vec::new();
+        let mut wakes = 0;
+        let mut horizon = SimTime::ZERO;
+        while let Some(t) = stepped.next_event_time(Some(horizon)) {
+            done.extend(stepped.take_completions(t));
+            horizon = t + NS;
+            wakes += 1;
+        }
+        let want = [3_958_676, 4_399_639, 4_081_152];
+        assert_eq!(ns(drain(&mut ahead)), want);
+        assert_eq!(ns(done), want);
+        assert!(wakes > 100, "stepped once per chunk event: {wakes} wakes");
     }
 
     #[test]

@@ -167,7 +167,7 @@ fn packet_multi(hosts: usize, d: EgressDiscipline, flows: &[FlowSpec]) -> Vec<f6
         .map(|&f| net.start_flow(SimTime::ZERO, f))
         .collect();
     let mut done = vec![0.0; flows.len()];
-    while let Some(t) = net.next_event_time() {
+    while let Some(t) = net.next_event_time(None) {
         for c in net.take_completions(t) {
             let k = ids.iter().position(|&i| i == c.id).expect("known flow");
             done[k] = c.finished.as_secs_f64();
