@@ -1,8 +1,8 @@
 //! Overhead of the analysis layer and the engine self-profiler.
 //!
 //! The contract is zero-cost-when-disabled: `baseline` (no telemetry, no
-//! profiler) must match `telemetry_overhead/disabled` in
-//! `BENCH_telemetry.json` within noise — the profiler hooks on the event
+//! profiler) must match the `telemetry_overhead/disabled` bench run in the
+//! same session within noise — the profiler hooks on the event
 //! queue, allocator, and handler loop compile down to a `None` check when
 //! off. `profile_on` prices those hooks when live, `events_and_explain`
 //! prices full event capture plus a complete [`tl_analysis::explain`]

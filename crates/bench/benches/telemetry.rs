@@ -1,8 +1,9 @@
 //! Overhead of the telemetry layer on the hot simulation loop.
 //!
 //! The contract is zero-cost-when-disabled: a grid-search run with
-//! telemetry disabled must match the un-instrumented PR-1 numbers in
-//! `BENCH_incremental_maxmin.json` (within noise). The enabled variants
+//! telemetry disabled must match the un-instrumented
+//! `paper_experiments -- grid_search` bench run in the same session
+//! (within noise). The enabled variants
 //! quantify what full event capture and metrics sampling cost, so future
 //! changes can't silently put allocations on the disabled path.
 

@@ -244,6 +244,29 @@ mod tests {
         }
     }
 
+    /// Pins the deterministic work of the paper's grid search on the fluid
+    /// backend (Table I #1, 21 jobs x 20 workers, TLs-RR), so a change that
+    /// adds engine events or allocator work fails `cargo test`. A change
+    /// that moves these counts on purpose updates them and says why.
+    #[test]
+    fn grid_search_work_counts_are_pinned() {
+        let cfg = ExperimentConfig::scaled(3);
+        let out = run_table1(&cfg, Table1Index(1), PolicyKind::TlsRr);
+        assert!(out.all_complete());
+        let a = out.alloc_stats;
+        assert_eq!(out.events, 3_969);
+        assert_eq!(
+            (
+                a.invocations,
+                a.components_solved,
+                a.components_retained,
+                a.rounds,
+                a.flows_touched
+            ),
+            (3_872, 3_545, 0, 5_968, 62_970)
+        );
+    }
+
     #[test]
     fn parallel_map_preserves_order() {
         let out = parallel_map((0..16).collect(), |x: i32| x * x);

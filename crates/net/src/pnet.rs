@@ -50,6 +50,14 @@
 //! the horizon, so the caller wakes per completion, not per chunk. The
 //! chunk events still cost wall time — this backend is an oracle, not a
 //! replacement.
+//!
+//! State stays O(live flows), not O(flows ever started): flow records
+//! live in a slab whose slots are recycled. A [`FlowId`] is the flow's
+//! creation index, independent of its slot, and round-robin egress orders
+//! flows by that index. A slot is released only once nothing names it:
+//! a finished flow at its completion; an aborted loopback flow when its
+//! pending delivery event fires; an aborted NIC flow once its last queued
+//! or in-service chunk is dropped (at the abort, if none is in service).
 
 use crate::topology::Topology;
 use crate::types::{Band, Bandwidth, EgressDiscipline, FlowId, HostId, LinkId};
@@ -72,11 +80,14 @@ enum Status {
 
 #[derive(Debug)]
 struct PFlow {
+    /// Creation index: the flow's [`FlowId`] and its round-robin key.
+    id: u64,
     spec: FlowSpec,
     total: u64,
     /// Bytes not yet handed to the egress server.
     to_send: u64,
-    /// Chunks sent but not yet fully received.
+    /// Chunks sent but not yet fully received (or, once the flow is
+    /// aborted, not yet discarded).
     in_flight: u32,
     /// Bytes fully received.
     received: u64,
@@ -91,7 +102,7 @@ struct PFlow {
 /// the host's capacity changes mid-service.
 #[derive(Debug, Clone, Copy)]
 struct Service {
-    /// Flow index of the chunk in service.
+    /// Flow slot of the chunk in service.
     flow: u32,
     /// Chunk size, bytes.
     chunk: u64,
@@ -125,21 +136,28 @@ pub struct PacketNet {
     chunk_bytes: u64,
     window: u32,
     discipline: EgressDiscipline,
+    /// Flow slab, indexed by slot. A slot is reused once nothing names it.
     flows: Vec<PFlow>,
-    /// Alive flow indices in creation order (deterministic iteration).
+    /// Released slots of `flows`, reused before the slab grows.
+    free: Vec<u32>,
+    /// Creation index of the next flow.
+    next_id: u64,
+    /// Alive flow slots in creation order (deterministic iteration).
     active: Vec<u32>,
-    /// Per host: its alive non-loopback flows in creation order — the
+    /// Per host: its alive non-loopback flow slots in creation order — the
     /// candidates its egress server picks from.
     senders: Vec<Vec<u32>>,
     queue: EventQueue<PEv>,
     /// Per-host egress server: the chunk in service, if any.
     egress_busy: Vec<Option<Service>>,
-    egress_cursor: Vec<u32>,
-    /// Per-host ingress FIFO of (flow index, chunk size).
+    /// Per host: creation id of the flow its egress served last (the
+    /// round-robin position).
+    egress_cursor: Vec<u64>,
+    /// Per-host ingress FIFO of (flow slot, chunk size).
     ingress_q: Vec<VecDeque<(u32, u64)>>,
     /// Per-host ingress server: the chunk in service (the FIFO's front).
     ingress_busy: Vec<Option<Service>>,
-    /// Per-fabric-link FIFO of (flow index, chunk size).
+    /// Per-fabric-link FIFO of (flow slot, chunk size).
     fab_q: Vec<VecDeque<(u32, u64)>>,
     /// Per-fabric-link serial server (the FIFO's front).
     fab_busy: Vec<Option<Service>>,
@@ -191,6 +209,8 @@ impl PacketNet {
             window,
             discipline,
             flows: Vec::new(),
+            free: Vec::new(),
+            next_id: 0,
             active: Vec::new(),
             senders: vec![Vec::new(); n],
             queue: EventQueue::new(),
@@ -265,9 +285,11 @@ impl PacketNet {
     /// Remaining (undelivered) bytes of a flow; `None` once finished or
     /// aborted.
     pub fn remaining_of(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(id.0 as usize).and_then(|f| {
-            (f.status == Status::Active).then(|| (f.total - f.received) as f64)
-        })
+        self.active
+            .iter()
+            .map(|&i| &self.flows[i as usize])
+            .find(|f| f.id == id.0)
+            .map(|f| (f.total - f.received) as f64)
     }
 
     /// Start a flow at time `now`.
@@ -285,9 +307,11 @@ impl PacketNet {
             "flow endpoints outside topology"
         );
         self.advance(now);
-        let idx = self.flows.len() as u32;
+        let id = FlowId(self.next_id);
+        self.next_id += 1;
         let total = spec.bytes.ceil().max(1.0) as u64;
-        self.flows.push(PFlow {
+        let flow = PFlow {
+            id: id.0,
             spec,
             total,
             to_send: total,
@@ -297,9 +321,18 @@ impl PacketNet {
             max_rate,
             next_allowed: now,
             status: Status::Active,
-        });
+        };
+        let idx = match self.free.pop() {
+            Some(slot) => {
+                self.flows[slot as usize] = flow;
+                slot
+            }
+            None => {
+                self.flows.push(flow);
+                (self.flows.len() - 1) as u32
+            }
+        };
         self.active.push(idx);
-        let id = FlowId(idx as u64);
         self.telemetry.emit_with(now, || SimEvent::FlowStart {
             flow: id.0,
             tag: spec.tag,
@@ -384,12 +417,14 @@ impl PacketNet {
     ) -> Vec<(FlowId, u64)> {
         self.advance(now);
         let mut aborted = Vec::new();
+        let mut slots = Vec::new();
         for &idx in &self.active {
             let f = &mut self.flows[idx as usize];
-            if !pred(FlowId(idx as u64), &f.spec) {
+            if !pred(FlowId(f.id), &f.spec) {
                 continue;
             }
-            aborted.push((FlowId(idx as u64), f.spec.tag));
+            aborted.push((FlowId(f.id), f.spec.tag));
+            slots.push(idx);
             f.status = Status::Aborted;
             f.to_send = 0;
         }
@@ -403,21 +438,26 @@ impl PacketNet {
             // Drop queued (not-in-service) chunks of dead flows. The chunk
             // currently in service at each busy server completes on the
             // wire and is discarded on arrival.
-            for h in 0..self.ingress_q.len() {
-                let keep_front = self.ingress_busy[h].is_some();
-                let mut kept = 0usize;
-                self.ingress_q[h].retain(|&(i, _)| {
-                    kept += 1;
-                    (keep_front && kept == 1) || flows[i as usize].status != Status::Aborted
+            let queues = self.ingress_q.iter_mut().zip(&self.ingress_busy);
+            let fabric = self.fab_q.iter_mut().zip(&self.fab_busy);
+            for (q, busy) in queues.chain(fabric) {
+                let mut front = busy.is_some();
+                q.retain(|&(i, _)| {
+                    let keep =
+                        std::mem::take(&mut front) || flows[i as usize].status != Status::Aborted;
+                    if !keep {
+                        flows[i as usize].in_flight -= 1;
+                    }
+                    keep
                 });
             }
-            for l in 0..self.fab_q.len() {
-                let keep_front = self.fab_busy[l].is_some();
-                let mut kept = 0usize;
-                self.fab_q[l].retain(|&(i, _)| {
-                    kept += 1;
-                    (keep_front && kept == 1) || flows[i as usize].status != Status::Aborted
-                });
+            // A NIC flow with no chunk left in service is released now; a
+            // loopback flow when its pending `LoopbackDone` fires.
+            for slot in slots {
+                let f = &self.flows[slot as usize];
+                if f.in_flight == 0 && f.spec.src != f.spec.dst {
+                    self.release(now, slot);
+                }
             }
             // Freed egress slots and windows may unblock surviving flows.
             for h in 0..self.egress_busy.len() {
@@ -547,7 +587,9 @@ impl PacketNet {
         let svc = self.egress_busy[h as usize].take().expect("egress was busy");
         let (i, chunk) = (svc.flow, svc.chunk);
         let f = &self.flows[i as usize];
-        if f.status != Status::Aborted {
+        if f.status == Status::Aborted {
+            self.discard_chunk(now, i);
+        } else {
             self.egress_bytes[h as usize] += chunk as f64;
             let dst = f.spec.dst.0 as usize;
             // Cross-rack chunks enter the routed uplink's serial server;
@@ -572,7 +614,9 @@ impl PacketNet {
             .expect("fabric link completed a chunk");
         self.fab_busy[l as usize] = None;
         let f = &self.flows[i as usize];
-        if f.status != Status::Aborted {
+        if f.status == Status::Aborted {
+            self.discard_chunk(now, i);
+        } else {
             self.fabric_bytes[l as usize] += chunk as f64;
             let [up, down] = self.topo.route(f.spec.src, f.spec.dst);
             let dst = f.spec.dst.0 as usize;
@@ -596,7 +640,9 @@ impl PacketNet {
             .expect("ingress completed a chunk");
         self.ingress_busy[h as usize] = None;
         let f = &mut self.flows[i as usize];
-        if f.status != Status::Aborted {
+        if f.status == Status::Aborted {
+            self.discard_chunk(now, i);
+        } else {
             f.in_flight -= 1;
             f.received += chunk;
             self.ingress_bytes[h as usize] += chunk as f64;
@@ -617,7 +663,38 @@ impl PacketNet {
         if self.flows[i as usize].status == Status::Active {
             self.flows[i as usize].received = self.flows[i as usize].total;
             self.finish_flow(now, i);
+        } else {
+            self.release(now, i);
         }
+    }
+
+    /// Drop an aborted flow's chunk as it leaves a server; the last one
+    /// out releases the flow's slot.
+    fn discard_chunk(&mut self, now: SimTime, i: u32) {
+        let f = &mut self.flows[i as usize];
+        f.in_flight -= 1;
+        if f.in_flight == 0 {
+            self.release(now, i);
+        }
+    }
+
+    /// Return slot `i` to the free list. Only called once nothing names it:
+    /// no chunk of the flow is queued or in service and no `LoopbackDone`
+    /// for it is pending.
+    fn release(&mut self, now: SimTime, i: u32) {
+        let f = &self.flows[i as usize];
+        self.invariants.check(
+            now,
+            "pnet.slot",
+            || f.in_flight == 0,
+            || {
+                format!(
+                    "flow {} released with {} chunks in flight",
+                    f.id, f.in_flight
+                )
+            },
+        );
+        self.free.push(i);
     }
 
     fn finish_flow(&mut self, now: SimTime, i: u32) {
@@ -629,13 +706,13 @@ impl PacketNet {
             || f.received == f.total,
             || {
                 format!(
-                    "flow {i} finished with {} of {} bytes delivered",
-                    f.received, f.total
+                    "flow {} finished with {} of {} bytes delivered",
+                    f.id, f.received, f.total
                 )
             },
         );
         let done = CompletedFlow {
-            id: FlowId(i as u64),
+            id: FlowId(f.id),
             tag: f.spec.tag,
             src: f.spec.src,
             dst: f.spec.dst,
@@ -647,6 +724,7 @@ impl PacketNet {
         if done.src != done.dst {
             self.senders[done.src.0 as usize].retain(|&k| k != i);
         }
+        self.release(now, i);
         self.done.push(done);
         self.telemetry.emit_with(now, || SimEvent::FlowFinish {
             flow: done.id.0,
@@ -674,10 +752,11 @@ impl PacketNet {
         // pacing gate has opened — a window-stalled high-band flow releases
         // the link to lower bands (work conservation, htb-style). Eligible
         // flows are the ready ones in the best band (every ready flow under
-        // FIFO); round-robin picks the first eligible index strictly after
-        // the cursor, else wraps to the first. One pass tracks the best
-        // band with its first eligible flow and its first one after the
-        // cursor.
+        // FIFO); round-robin picks the first eligible creation id strictly
+        // after the cursor, else wraps to the first. One pass tracks the
+        // best band with its first eligible flow and its first one after
+        // the cursor. Ids, not slots, keep the order: a reused slot says
+        // nothing about when its flow started.
         let priority = self.discipline == EgressDiscipline::Priority;
         let cursor = self.egress_cursor[h as usize];
         let mut pick: Option<(Band, u32, Option<u32>)> = None;
@@ -694,12 +773,12 @@ impl PacketNet {
             let band = if priority { f.spec.band } else { Band(0) };
             match &mut pick {
                 Some((best, _, after)) if band == *best => {
-                    if after.is_none() && idx > cursor {
+                    if after.is_none() && f.id > cursor {
                         *after = Some(idx);
                     }
                 }
                 Some((best, _, _)) if band > *best => {}
-                _ => pick = Some((band, idx, (idx > cursor).then_some(idx))),
+                _ => pick = Some((band, idx, (f.id > cursor).then_some(idx))),
             }
         }
         let Some((_, first, after)) = pick else {
@@ -714,8 +793,8 @@ impl PacketNet {
             return;
         };
         let i = after.unwrap_or(first);
-        self.egress_cursor[h as usize] = i;
         let f = &mut self.flows[i as usize];
+        self.egress_cursor[h as usize] = f.id;
         let chunk = self.chunk_bytes.min(f.to_send);
         f.to_send -= chunk;
         f.in_flight += 1;
@@ -726,7 +805,7 @@ impl PacketNet {
             now,
             "pnet.window",
             || self.flows[i as usize].in_flight <= self.window,
-            || format!("flow {i} exceeded its window"),
+            || format!("flow {} exceeded its window", self.flows[i as usize].id),
         );
         let rate = self.topo.egress(HostId(h)).bytes_per_sec();
         let finish = now + SimDuration::from_secs_f64(chunk as f64 / rate);
@@ -1175,6 +1254,104 @@ mod tests {
         let out = telemetry.take_output();
         assert_eq!(out.events_of_kind("flow_start").len(), 1);
         assert_eq!(out.events_of_kind("flow_finish").len(), 1);
+    }
+
+    // ---- flow slab -----------------------------------------------------
+
+    #[test]
+    fn slab_tracks_live_flows() {
+        const K: u64 = 4;
+        let inv = InvariantChecker::enabled();
+        let mut n = net(4);
+        n.set_invariants(inv.clone());
+        let mut t = SimTime::ZERO;
+        let mut ids = Vec::new();
+        for _ in 0..1_000 {
+            // Three NIC flows in a ring plus one loopback flow.
+            for h in 0..K as u32 {
+                let dst = if h == 3 { 3 } else { (h + 1) % 3 };
+                ids.push(n.start_flow(t, spec(h, dst, 100e3, 0, u64::from(h))).0);
+            }
+            let done = drain(&mut n);
+            assert_eq!(done.len(), K as usize);
+            let slab = n.flows.len();
+            assert!(slab <= K as usize, "slab grew to {slab}");
+            t = done.iter().map(|d| d.finished).max().unwrap();
+        }
+        assert_eq!(ids, (0..1_000 * K).collect::<Vec<_>>());
+        assert_eq!(inv.violation_count(), 0);
+    }
+
+    /// An aborted flow whose chunks are still in service keeps its slot
+    /// until the last of them is discarded; the two flows started at the
+    /// abort instant take fresh slots and finish at the nanosecond they
+    /// did when flow state was never recycled.
+    #[test]
+    fn aborted_flow_slot_is_pinned_until_its_chunks_leave() {
+        let inv = InvariantChecker::enabled();
+        let mut n = leaf_spine(4.0);
+        n.set_invariants(inv.clone());
+        let a = n.start_flow(SimTime::ZERO, spec(0, 2, 4e6, 0, 1));
+        n.start_flow(SimTime::ZERO, spec(1, 3, 4e6, 0, 2));
+        let t = SimTime::from_millis(1);
+        n.advance(t);
+        // Flow a has a chunk in egress service, one in service at rack 1's
+        // downlink, and more queued behind flow b's in rack 0's uplink.
+        assert_eq!(n.egress_busy[0].map(|s| s.flow), Some(0));
+        assert_eq!(n.fab_busy[3].map(|s| s.flow), Some(0));
+        assert!(n.fab_q[0].iter().skip(1).any(|&(i, _)| i == 0));
+        assert_eq!(n.abort_flows_where(t, |id, _| id == a), vec![(a, 1)]);
+        assert!(n.free.is_empty(), "in-service chunks pin the slot");
+        n.start_flow(t, spec(0, 3, 1.5e6, 0, 3));
+        n.start_flow(t, spec(1, 2, 2e6, 0, 4));
+        assert_eq!(n.flows.len(), 4);
+        let mut done = drain(&mut n);
+        done.sort_by_key(|d| d.id);
+        let got: Vec<_> = done
+            .iter()
+            .map(|d| (d.id.0, d.finished.as_nanos()))
+            .collect();
+        assert_eq!(got, [(1, 12_732_208), (2, 9_209_916), (3, 11_237_060)]);
+        assert_eq!(n.free.len(), 4, "every slot is released once drained");
+        assert_eq!(inv.violation_count(), 0);
+    }
+
+    /// Flow 3 reuses flow 0's slot, so slot order is not creation order
+    /// here. Round-robin must follow creation order: the new flows come
+    /// after flows 1 and 2 in the rotation.
+    #[test]
+    fn round_robin_follows_creation_order_after_slot_reuse() {
+        let mut n = fifo_net(5, DEFAULT_WINDOW);
+        n.start_flow(SimTime::ZERO, spec(0, 1, 1_000_000.0, 0, 1));
+        n.start_flow(SimTime::ZERO, spec(0, 2, 3_000_000.0, 0, 2));
+        n.start_flow(SimTime::ZERO, spec(0, 3, 3_100_000.0, 0, 3));
+        let t = n.next_event_time(None).unwrap();
+        let mut done = n.take_completions(t);
+        assert_eq!(done.len(), 1);
+        n.start_flow(t, spec(0, 4, 2_000_000.0, 0, 4));
+        n.start_flow(t, spec(0, 1, 2_500_000.0, 0, 5));
+        assert_eq!(n.flows.len(), 4, "flow 3 took flow 0's slot");
+        done.extend(drain(&mut n));
+        done.sort_by_key(|d| d.id);
+        let ns: Vec<u64> = done.iter().map(|d| d.finished.as_nanos()).collect();
+        assert_eq!(ns, [2_386_441, 8_745_761, 8_973_601, 8_811_758, 9_332_464]);
+    }
+
+    #[test]
+    fn released_ids_do_not_resolve_after_slot_reuse() {
+        let mut n = net(2);
+        let finished = n.start_flow(SimTime::ZERO, spec(0, 1, TEN, 0, 1));
+        let t = drain(&mut n)[0].finished;
+        let aborted = n.start_flow(t, spec(0, 1, TEN, 0, 2));
+        assert_eq!(n.flows.len(), 1, "the finished flow's slot was reused");
+        n.abort_flows_where(t + NS, |id, _| id == aborted);
+        assert!(drain(&mut n).is_empty());
+        let live = n.start_flow(n.last_advance, spec(0, 1, TEN, 0, 3));
+        assert_eq!(n.flows.len(), 1, "the aborted flow's slot was reused");
+        assert_eq!(live, FlowId(2));
+        assert_eq!(n.remaining_of(live), Some(TEN));
+        assert_eq!(n.remaining_of(finished), None);
+        assert_eq!(n.remaining_of(aborted), None);
     }
 
     // ---- fabric (leaf-spine) tests --------------------------------------

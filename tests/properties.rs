@@ -810,3 +810,144 @@ proptest! {
             "{mb} MB, dip {dip_ms} ms @ {factor}: fluid {fluid} vs packet {packet} (tol {tol})");
     }
 }
+
+// ---- input surfaces never panic ---------------------------------------
+
+/// A string drawn from `fragments` and arbitrary Unicode scalar values,
+/// so that generated inputs reach past the first token of a parser.
+fn arb_text(fragments: &'static [&'static str], len: usize) -> impl Strategy<Value = String> {
+    prop::collection::vec((0..fragments.len() + 1, 0u32..0x11_0000), 0..len).prop_map(
+        move |parts| {
+            parts
+                .into_iter()
+                .map(|(i, c)| match fragments.get(i) {
+                    Some(f) => f.to_string(),
+                    None => char::from_u32(c).unwrap_or('\u{FFFD}').to_string(),
+                })
+                .collect()
+        },
+    )
+}
+
+const TOPOLOGY_FRAGMENTS: &[&str] = &[
+    "single-switch", "flat", "leaf-spine:", "x", "@", "0", "1", "7", "65536",
+    "4294967296", "1000000", "-", "+", ".", "e", "inf", "NaN", " ", ":",
+];
+
+const JSON_FRAGMENTS: &[&str] = &[
+    "{", "}", "[", "]", "\"", ":", ",", " ", "{\"jobs\":[", "]}", "\"tag\":",
+    "\"ps_host\":", "\"ps_port\":", "\"update_bytes\":", "\"arrival_seq\":",
+    "null", "true", "false", "0", "1", "-1", "65536", "18446744073709551616",
+    "1.5", "1e400", "-", "e", "\\", "\\u", "\\uD800", "\\uDC00", "d83d", "é",
+];
+
+/// Field values for generated registry jobs. The first four fit every
+/// field; the rest are out of some field's range, of the wrong type, or
+/// malformed.
+const JSON_VALUES: &[&str] = &[
+    "0", "1", "7", "65535", "65536", "4294967296", "18446744073709551616", "-1",
+    "1.0", "1.5", "1e400", "-0", "null", "true", "\"7\"", "[]", "{}", "--1", "1e",
+];
+
+/// `JSON_VALUES[i]`, or one of its first four (valid) values when `i` is
+/// past the end, so that two thirds of the draws are valid.
+fn json_value(i: usize) -> &'static str {
+    JSON_VALUES.get(i).unwrap_or(&JSON_VALUES[i % 4])
+}
+
+/// A `leaf-spine:` shape whose parts are drawn from edge cases, and
+/// sometimes dropped.
+fn arb_leaf_spine() -> impl Strategy<Value = String> {
+    const PARTS: &[&str] = &[
+        "", "0", "1", "3", "1000", "1001", "65536", "4294967296", "-1", "1.0", "2.5",
+        "inf", "NaN", "1e3", " 2",
+    ];
+    (0..PARTS.len(), 0..PARTS.len(), 0..PARTS.len() + 1).prop_map(|(r, h, o)| {
+        let oversub = PARTS.get(o).map(|o| format!("@{o}")).unwrap_or_default();
+        format!("leaf-spine:{}x{}{oversub}", PARTS[r], PARTS[h])
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// `--topology` parsing returns `Ok` or a typed `Err` for any string,
+    /// and every accepted spec round-trips through its display form.
+    #[test]
+    fn topology_spec_parse_never_panics(s in arb_text(TOPOLOGY_FRAGMENTS, 12)) {
+        check_topology_text(&s)?;
+    }
+
+    /// The same for leaf-spine shapes built from edge-case parts.
+    #[test]
+    fn topology_spec_parse_never_panics_on_shapes(s in arb_leaf_spine()) {
+        check_topology_text(&s)?;
+    }
+
+    /// A `tlsd` registry parses to `Ok` or a typed `Err` for any string,
+    /// and every accepted registry round-trips through JSON.
+    #[test]
+    fn registry_from_json_never_panics_on_strings(s in arb_text(JSON_FRAGMENTS, 40)) {
+        check_registry_text(&s)?;
+    }
+
+    /// The same for well-formed job lists whose field values are drawn
+    /// from edge cases, which reach the typed field conversions.
+    #[test]
+    fn registry_from_json_never_panics_on_job_lists(
+        jobs in prop::collection::vec(prop::collection::vec(0..3 * JSON_VALUES.len(), 5), 0..4)
+    ) {
+        let jobs: Vec<String> = jobs
+            .iter()
+            .map(|v| {
+                let [tag, host, port, bytes, seq] = [0, 1, 2, 3, 4].map(|k| json_value(v[k]));
+                format!(
+                    "{{\"tag\":{tag},\"ps_host\":{host},\"ps_port\":{port},\
+                     \"update_bytes\":{bytes},\"arrival_seq\":{seq}}}"
+                )
+            })
+            .collect();
+        check_registry_text(&format!("{{\"jobs\":[{}]}}", jobs.join(",")))?;
+    }
+
+    /// The same for arbitrary bytes, decoded as lossy UTF-8.
+    #[test]
+    fn registry_from_json_never_panics_on_bytes(
+        bytes in prop::collection::vec(0u16..256, 0..64)
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        check_registry_text(&String::from_utf8_lossy(&bytes))?;
+    }
+}
+
+/// Regression: the JSON parser recursed once per nesting level without a
+/// bound, so a 10,000-byte run of `[` overflowed the stack and aborted the
+/// process instead of returning an error.
+#[test]
+fn registry_from_json_rejects_deep_nesting() {
+    use tensorlights_suite::tensorlights::daemon::Registry;
+    for text in ["[".repeat(100_000), format!("{{\"jobs\":{}", "[{\"a\":".repeat(50_000))] {
+        assert!(Registry::from_json(&text).is_err());
+    }
+    // The limit leaves ordinary nesting alone.
+    let nested = format!("{}{}", "[".repeat(128), "]".repeat(128));
+    assert!(serde_json::from_str_value(&nested).is_ok());
+    assert!(serde_json::from_str_value(&format!("[{nested}]")).is_err());
+}
+
+fn check_topology_text(s: &str) -> Result<(), TestCaseError> {
+    use tensorlights_suite::dl::TopologySpec;
+    if let Ok(spec) = s.parse::<TopologySpec>() {
+        prop_assert_eq!(spec.to_string().parse::<TopologySpec>(), Ok(spec), "{:?}", s);
+    }
+    Ok(())
+}
+
+fn check_registry_text(s: &str) -> Result<(), TestCaseError> {
+    use tensorlights_suite::tensorlights::daemon::Registry;
+    if let Ok(reg) = Registry::from_json(s) {
+        let json = serde_json::to_string(&reg).expect("registry serializes");
+        prop_assert_eq!(Registry::from_json(&json).ok(), Some(reg), "{:?}", s);
+    }
+    Ok(())
+}
